@@ -1,7 +1,8 @@
 # Development entry points for the EPRONS reproduction.
 #
 #   make check      — everything CI needs: build, lint (gofmt + vet), tests,
-#                     and the race detector over the concurrency-bearing
+#                     the nested perfbench module's vet + tests, and the
+#                     race detector over the concurrency-bearing
 #                     packages (internal/parallel and internal/core for the
 #                     worker pool and sweeps; internal/sim because every
 #                     sweep worker drives its own engine; internal/netsim,
@@ -26,19 +27,23 @@
 #                     make benchcmp OLD=old.txt NEW=new.txt
 #   make benchguard — run the tier-1 benches once and compare against the
 #                     latest BENCH_<n>.json snapshot; fails (exit != 0) when
-#                     any benchmark's B/op or allocs/op grew more than
+#                     a baseline benchmark is missing from the run or any
+#                     benchmark's B/op or allocs/op grew more than
 #                     $(BENCHGUARD_PCT)% (ns/op is reported but not gated —
 #                     wall time is machine-sensitive, allocation counts are
 #                     deterministic). Part of `make check`.
 #   make race       — just the race-detector subset, plus a race-enabled
-#                     -shards 4 smoke sweep of the pod-sharded engine and a
-#                     race-enabled replicated-tier smoke sweep (R=3, hedged
-#                     selection) of the parallel replica harness.
+#                     -workers 2 smoke sweep of the cell-parallel Fig 10
+#                     harness and a race-enabled replicated-tier smoke sweep
+#                     (R=3, hedged selection) of the parallel replica harness.
+#   make perfbench-test — vet and test the repo benchmark (perfbench/, its
+#                     own Go module: the root `go build ./...` does not
+#                     compile it, so an API break it depends on would
+#                     otherwise go unnoticed).
 #   make fuzz-short — a bounded run of the native fuzz targets (surge
 #                     multiplier safety, admission hysteresis invariants,
 #                     replica failover conservation under random crash/repair
-#                     schedules, sharded-vs-sequential barrier equivalence,
-#                     analytic-twin monotonicity, route-segment
+#                     schedules, analytic-twin monotonicity, route-segment
 #                     intern/materialize equivalence); FUZZTIME=30s lengthens
 #                     each target's budget.
 #   make twincheck  — validate the closed-form analytic twin against the
@@ -52,16 +57,16 @@ GOFMT ?= gofmt
 
 # The tier-1 benchmark suite tracked across PRs: scheduler hot path,
 # packet pipeline, background-elephant cost (packet vs fluid), FFT/DVFS
-# kernels, and the Fig 10 (packet, fluid, k=8, k=16 sequential/sharded)
-# and Fig 15 end-to-end sweeps.
+# kernels, and the Fig 10 (packet, fluid, k=8, k=16, k=32) and Fig 15
+# end-to-end sweeps.
 BENCH_PATTERN = 'BenchmarkEngine|BenchmarkNetsimForward|BenchmarkNetsimBackground|BenchmarkFFT|BenchmarkDVFS|BenchmarkAblationConvolution|BenchmarkFig10|BenchmarkFig15DiurnalSavings'
 BENCH_PKGS = . ./internal/sim ./internal/netsim ./internal/fft ./internal/dvfs
 BENCHCOUNT ?= 3
 BENCHGUARD_PCT ?= 10
 
-.PHONY: check build lint vet test race fuzz-short bench bench-json benchcmp benchguard twincheck
+.PHONY: check build lint vet test perfbench-test race fuzz-short bench bench-json benchcmp benchguard twincheck
 
-check: build lint test race twincheck benchguard
+check: build lint test perfbench-test race twincheck benchguard
 
 build:
 	$(GO) build ./...
@@ -79,9 +84,12 @@ vet:
 test:
 	$(GO) test ./...
 
+perfbench-test:
+	cd perfbench && $(GO) vet ./... && $(GO) test ./...
+
 race:
 	$(GO) test -race ./internal/parallel ./internal/core ./internal/sim ./internal/netsim ./internal/cluster ./internal/faults ./internal/controller ./internal/workload ./internal/experiments ./internal/metrics ./internal/topology ./internal/placement
-	$(GO) run -race ./cmd/netsweep -fig 10 -duration 0.2 -shards 4
+	$(GO) run -race ./cmd/netsweep -fig 10 -duration 0.2 -workers 2
 	$(GO) run -race ./cmd/epronsim -replicas 3 -selection hedged -faultrates 1 -faultdur 0.5
 
 # Each `go test -fuzz` invocation accepts exactly one target, so the
@@ -91,7 +99,6 @@ fuzz-short:
 	$(GO) test -run XXX -fuzz FuzzAdmission -fuzztime $(FUZZTIME) ./internal/cluster
 	$(GO) test -run XXX -fuzz FuzzReplicaFailover -fuzztime $(FUZZTIME) ./internal/cluster
 	$(GO) test -run XXX -fuzz FuzzFluidPromoteDemote -fuzztime $(FUZZTIME) ./internal/netsim
-	$(GO) test -run XXX -fuzz FuzzShardBarrier -fuzztime $(FUZZTIME) ./internal/netsim
 	$(GO) test -run XXX -fuzz FuzzTwinMonotonic -fuzztime $(FUZZTIME) ./internal/twin
 	$(GO) test -run XXX -fuzz FuzzRouteIntern -fuzztime $(FUZZTIME) ./internal/fattree
 

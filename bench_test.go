@@ -149,40 +149,16 @@ func BenchmarkFig10K8(b *testing.B) {
 	}
 }
 
-// k16Cfg is the shared configuration of the k=16 scale benchmarks: a
-// 1024-host, 320-switch fat-tree at packet fidelity. The fluid engine
-// folds the 240 background elephants and ECMPQueries routes the ~1M query
-// host pairs by direct hash-probed path construction (enumerating 64
+// BenchmarkFig10K16 regenerates a Fig 10 cell on the 16-ary fat-tree: a
+// 1024-host, 320-switch fabric at packet fidelity. The fluid engine folds
+// the 240 background elephants and ECMPQueries resolves query-pair routes
+// on demand by direct hash-probed path construction (enumerating 64
 // candidate paths per pair through the consolidation placer would dominate
 // the run). Query traffic itself stays packet-level.
-func k16Cfg(shards int) experiments.NetLatencyConfig {
-	return experiments.NetLatencyConfig{
-		DurationS: 0.2, K: 16, Fluid: true, ECMPQueries: true, Shards: shards,
-	}
-}
-
-// BenchmarkFig10K16 regenerates a Fig 10 cell on the 16-ary fat-tree with
-// the sequential engine — the single-core packet-fidelity baseline for the
-// sharded engine below.
 func BenchmarkFig10K16(b *testing.B) {
-	cfg := k16Cfg(1)
-	for i := 0; i < b.N; i++ {
-		rows, err := experiments.Fig10AggregationLatency([]int{0, 3}, []float64{0.20}, cfg)
-		if err != nil {
-			b.Fatal(err)
-		}
-		b.ReportMetric(rows[0].P95S*1e6, "us-p95@agg0")
-		b.ReportMetric(rows[1].P95S*1e6, "us-p95@agg3")
+	cfg := experiments.NetLatencyConfig{
+		DurationS: 0.2, K: 16, Fluid: true, ECMPQueries: true,
 	}
-}
-
-// BenchmarkFig10K16Sharded is the same cell on the pod-sharded engine
-// (4 shards, 4 pods each). Figure output is bit-identical to the
-// sequential benchmark above; the speedup comes from parallel window
-// execution on multi-core machines plus four 4× smaller event heaps (the
-// heap-operation win holds even on a single core).
-func BenchmarkFig10K16Sharded(b *testing.B) {
-	cfg := k16Cfg(4)
 	for i := 0; i < b.N; i++ {
 		rows, err := experiments.Fig10AggregationLatency([]int{0, 3}, []float64{0.20}, cfg)
 		if err != nil {
@@ -195,14 +171,14 @@ func BenchmarkFig10K16Sharded(b *testing.B) {
 
 // BenchmarkFig10K32 regenerates a Fig 10 cell on the 32-ary fat-tree:
 // 8192 hosts, 1280 switches, ~67M ordered host pairs. This scale is only
-// reachable through the flyweight route plane — ECMP routing flips to the
-// on-demand resolver (no precomputed all-pairs route table) and each
-// resolved route interns into the shared segment arena as a 12-byte ref,
+// reachable through the flyweight route plane — ECMP query routes resolve
+// on demand (no precomputed all-pairs route table) and each resolved
+// route interns into the shared segment arena as a 12-byte ref,
 // so the route-plane footprint is the segments actually exercised by
 // traffic, not the pair space.
 func BenchmarkFig10K32(b *testing.B) {
 	cfg := experiments.NetLatencyConfig{
-		DurationS: 0.05, K: 32, Fluid: true, ECMPQueries: true, Shards: 1,
+		DurationS: 0.05, K: 32, Fluid: true, ECMPQueries: true,
 	}
 	for i := 0; i < b.N; i++ {
 		rows, err := experiments.Fig10AggregationLatency([]int{0, 3}, []float64{0.20}, cfg)

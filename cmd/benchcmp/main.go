@@ -13,10 +13,13 @@
 //	go test -bench . -benchmem -count 5 ./... > new.txt
 //	go run ./cmd/benchcmp old.txt new.txt
 //
-// With -guard, memory regressions fail the run: any common benchmark whose
+// Benchmarks present in only one run are listed after the tables. With
+// -guard, memory regressions fail the run: any common benchmark whose
 // B/op or allocs/op grew by more than -threshold percent (default 10) is
 // reported and the exit status is 2 — the `make benchguard` gate, which
-// compares a fresh tier-1 bench run against the latest BENCH_<n>.json.
+// compares a fresh tier-1 bench run against the latest BENCH_<n>.json. A
+// baseline benchmark missing from the new run fails the guard the same
+// way, so deleting a tracked benchmark takes a new baseline snapshot.
 // ns/op is deliberately exempt: wall time is too machine-sensitive for a
 // hard gate, while allocation counts are deterministic and bytes nearly so.
 package main
@@ -143,6 +146,17 @@ func section(w *tabwriter.Writer, title string, order []string, olds, news map[s
 	return growth
 }
 
+// unmatched returns the names in order that other lacks, in order.
+func unmatched(order []string, other map[string]benchparse.Summary) []string {
+	var out []string
+	for _, name := range order {
+		if _, ok := other[name]; !ok {
+			out = append(out, name)
+		}
+	}
+	return out
+}
+
 func run() error {
 	guard := flag.Bool("guard", false, "exit 2 when B/op or allocs/op regress past -threshold")
 	threshold := flag.Float64("threshold", 10, "guarded regression threshold, percent")
@@ -154,7 +168,7 @@ func run() error {
 	if err != nil {
 		return err
 	}
-	news, _, err := load(flag.Arg(1))
+	news, newOrder, err := load(flag.Arg(1))
 	if err != nil {
 		return err
 	}
@@ -165,8 +179,18 @@ func run() error {
 	if err := w.Flush(); err != nil {
 		return err
 	}
+	gone, added := unmatched(order, news), unmatched(newOrder, olds)
+	for _, name := range gone {
+		fmt.Printf("only in old: %s\n", name)
+	}
+	for _, name := range added {
+		fmt.Printf("only in new: %s\n", name)
+	}
 	if !*guard {
 		return nil
+	}
+	for _, name := range gone {
+		fmt.Fprintf(os.Stderr, "benchcmp: MISSING %s: in the baseline but absent from the new run\n", name)
 	}
 	var regs []regression
 	for _, name := range order {
@@ -177,13 +201,13 @@ func run() error {
 			regs = append(regs, regression{name, "allocs/op", pct})
 		}
 	}
-	if len(regs) > 0 {
-		for _, r := range regs {
-			fmt.Fprintf(os.Stderr, "benchcmp: REGRESSION %s %s %+.2f%% (threshold %.0f%%)\n", r.name, r.metric, r.pct, *threshold)
-		}
+	for _, r := range regs {
+		fmt.Fprintf(os.Stderr, "benchcmp: REGRESSION %s %s %+.2f%% (threshold %.0f%%)\n", r.name, r.metric, r.pct, *threshold)
+	}
+	if len(regs) > 0 || len(gone) > 0 {
 		os.Exit(2)
 	}
-	fmt.Fprintf(os.Stderr, "benchcmp: guard ok (no B/op or allocs/op regression > %.0f%%)\n", *threshold)
+	fmt.Fprintf(os.Stderr, "benchcmp: guard ok (every baseline benchmark ran; no B/op or allocs/op regression > %.0f%%)\n", *threshold)
 	return nil
 }
 

@@ -78,20 +78,10 @@ func main() {
 	workers := flag.Int("workers", parallel.DefaultWorkers(), "concurrency for table training, the per-scheme diurnal replays and the planner's K search (<=1 runs sequentially, results are identical either way)")
 	cpuProfile := flag.String("cpuprofile", "", "write a CPU profile to this file")
 	memProfile := flag.String("memprofile", "", "write a heap profile to this file on exit")
-	shards := flag.Int("shards", 1, "pod shards per packet simulation (conservative lockstep windows). The planner figures involve no packet simulation, and -faults/-overload need retries and admission control, which the sharded cluster envelope excludes — so any value other than 1 is rejected in those modes")
 	twinMode := flag.Bool("twin", false, "answer closed-form what-if capacity queries on a -twink fabric and exit (no simulation, no topology graph)")
 	twinK := flag.Int("twink", 74, "fat-tree arity for -twin (74 = 101,306 hosts)")
 	csvOut := flag.Bool("csv", false, "emit tables as CSV")
 	flag.Parse()
-
-	if *shards != 1 && *shards != 0 {
-		// The sharded engine requires the no-drop, no-retry broadcast
-		// envelope (cluster.ErrShardEnvelope names the offending option);
-		// the fault, overload and replica experiments are defined by
-		// violating it, and the planner figures (Fig 13/15) run no packet
-		// simulation at all. Reject rather than silently ignore.
-		log.Fatal("-shards is only meaningful for the packet-level figure sweeps (timeouts, retries, admission control and replication are outside the sharded cluster envelope); use cmd/netsweep -shards or cmd/reproduce -shards")
-	}
 
 	if *cpuProfile != "" {
 		f, err := os.Create(*cpuProfile)

@@ -11,13 +11,10 @@
 //	go run ./cmd/figdump after.txt
 //	diff before.txt after.txt   # must be empty
 //
-// The same contract covers the pod-sharded parallel engine: figdump output
-// is identical for every -shards value (Fig 13/15 are planner-model
-// computations with no packet simulation, so only Fig 10/11 exercise it):
-//
-//	go run ./cmd/figdump -shards 1 a.txt
-//	go run ./cmd/figdump -shards 4 b.txt
-//	diff a.txt b.txt            # must be empty
+// Add -fluid to diff the hybrid fluid/packet background engine's series
+// the same way. Sweep cells run one after another here; cell-level
+// parallelism (-workers on netsweep and reproduce) is covered by the
+// worker-count invariance tests instead.
 //
 // The sweep shapes are deliberately small (the benchmark configurations,
 // a few seconds of CPU) — this is a regression tripwire, not a paper
@@ -33,8 +30,8 @@ import (
 	"eprons/internal/experiments"
 )
 
-func dump(w io.Writer, shards int, fluid bool) error {
-	cfg := experiments.NetLatencyConfig{DurationS: 1.5, Shards: shards, Fluid: fluid}
+func dump(w io.Writer, fluid bool) error {
+	cfg := experiments.NetLatencyConfig{DurationS: 1.5, Fluid: fluid}
 	rows10, err := experiments.Fig10AggregationLatency([]int{0, 3}, []float64{0.20}, cfg)
 	if err != nil {
 		return err
@@ -69,11 +66,10 @@ func dump(w io.Writer, shards int, fluid bool) error {
 }
 
 func main() {
-	shards := flag.Int("shards", 1, "pod shards for the packet simulations (1 = sequential engine; output is identical for every value)")
 	fluid := flag.Bool("fluid", false, "hybrid fluid/packet background engine for the packet simulations")
 	flag.Parse()
 	if flag.NArg() != 1 {
-		fmt.Fprintln(os.Stderr, "usage: figdump [-shards n] [-fluid] <out-file|->")
+		fmt.Fprintln(os.Stderr, "usage: figdump [-fluid] <out-file|->")
 		os.Exit(2)
 	}
 	var w io.Writer = os.Stdout
@@ -86,7 +82,7 @@ func main() {
 		defer f.Close()
 		w = f
 	}
-	if err := dump(w, *shards, *fluid); err != nil {
+	if err := dump(w, *fluid); err != nil {
 		fmt.Fprintln(os.Stderr, "figdump:", err)
 		os.Exit(1)
 	}

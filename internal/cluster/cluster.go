@@ -281,10 +281,6 @@ type Cluster struct {
 	agg    *rng.Stream
 	nextID int64
 
-	// sh carries the sharded-execution state (see shard.go); nil in
-	// sequential mode, which keeps every sequential code path untouched.
-	sh *clusterSharding
-
 	// repl carries the replicated-mode state (see replica.go); nil with
 	// Replicas == 0, which keeps the broadcast path untouched.
 	repl *replicaState
@@ -318,11 +314,6 @@ func New(net *netsim.Network, hosts []topology.NodeID, cfg Config) (*Cluster, er
 		agg:   rng.Derive(cfg.Seed, "aggregator"),
 		adm:   cfg.Admission,
 	}
-	sh, err := initSharding(c, cfg)
-	if err != nil {
-		return nil, err
-	}
-	c.sh = sh
 	if err := initReplication(c); err != nil {
 		return nil, err
 	}
@@ -334,7 +325,7 @@ func New(net *netsim.Network, hosts []topology.NodeID, cfg Config) (*Cluster, er
 	}
 	for i := range hosts {
 		i := i
-		srv, err := server.New(c.hostEngine(i), server.Config{
+		srv, err := server.New(c.eng, server.Config{
 			Cores:   cfg.CoresPerServer,
 			Alpha:   cfg.Alpha,
 			FMaxGHz: power.FMaxGHz,
@@ -412,16 +403,8 @@ func (c *Cluster) InstallShortestRoutes(active *topology.ActiveSet) error {
 // Servers exposes the per-host servers (for stats).
 func (c *Cluster) Servers() []*server.Server { return c.srvs }
 
-// Stats returns aggregate query statistics. In sharded mode the merged
-// view is rebuilt from the per-shard cells (deterministically — see
-// shard.go) on every call and must only be read at quiesced points.
-func (c *Cluster) Stats() *Stats {
-	if c.sh == nil {
-		return &c.stats
-	}
-	c.mergeStats(&c.sh.merged)
-	return &c.sh.merged
-}
+// Stats returns aggregate query statistics.
+func (c *Cluster) Stats() *Stats { return &c.stats }
 
 // StatsInto snapshots the aggregate query statistics into out and returns
 // it (a nil out allocates one). The counters copy by value and each
@@ -436,10 +419,6 @@ func (c *Cluster) StatsInto(out *Stats) *Stats {
 		out = &Stats{}
 	}
 	s := &c.stats
-	if c.sh != nil {
-		c.mergeStats(&c.sh.merged)
-		s = &c.sh.merged
-	}
 	// Copy the trackers buffer-reusingly first, then overwrite every
 	// scalar field by value.
 	s.QueryLatency.CopyInto(&out.QueryLatency)
@@ -619,13 +598,8 @@ func (c *Cluster) onRequestArrived(sq *subQuery, gen int, netLat float64) {
 	if sq.resolved || gen != sq.gen {
 		return // attempt abandoned while the request was in flight
 	}
-	now := c.nowAt(sq.isn)
-	if c.sh == nil {
-		c.stats.NetReqLat.Add(netLat)
-	} else {
-		cell := c.cellOf(sq.isn)
-		cell.netReqLat = append(cell.netReqLat, tsample{now, netLat})
-	}
+	now := c.eng.Now()
+	c.stats.NetReqLat.Add(netLat)
 	reqBudget := c.Cfg.NetworkBudget * c.Cfg.RequestBudgetFrac
 	if c.Cfg.FullBudgetSlack {
 		reqBudget = c.Cfg.NetworkBudget
@@ -637,14 +611,10 @@ func (c *Cluster) onRequestArrived(sq *subQuery, gen int, netLat float64) {
 			slack = 0
 		}
 	}
-	if c.sh == nil {
-		c.stats.SlackGranted.Add(slack)
-	} else {
-		cell := c.cellOf(sq.isn)
-		cell.slackGranted = append(cell.slackGranted, tsample{now, slack})
-	}
+	c.stats.SlackGranted.Add(slack)
+	c.nextID++
 	req := &server.Request{
-		ID:             c.nextRequestID(sq.isn),
+		ID:             c.nextID,
 		Arrival:        now,
 		BaseServiceS:   sq.base,
 		ServerDeadline: now + c.Cfg.ServerBudget,
@@ -660,12 +630,7 @@ func (c *Cluster) onReplyArrived(sq *subQuery, gen int, replyLat float64) {
 	}
 	sq.resolved = true
 	c.disarmTimer(sq)
-	if c.sh == nil {
-		c.stats.NetReplyLat.Add(replyLat)
-	} else {
-		cell := c.cellOf(sq.aggIdx)
-		cell.netReplyLat = append(cell.netReplyLat, tsample{c.nowAt(sq.aggIdx), replyLat})
-	}
+	c.stats.NetReplyLat.Add(replyLat)
 	sq.q.done++
 	c.maybeFinish(sq)
 }
@@ -723,37 +688,21 @@ func (c *Cluster) disarmTimer(sq *subQuery) {
 	}
 }
 
-// maybeFinish closes the query once every sub-query has resolved. In
-// sharded mode it runs in the aggregator's shard (reply arrival) — or, for
-// failed attempts, wherever the failure resolved, which the sharded
-// envelope excludes — so completion stats land in the aggregator's cell.
+// maybeFinish closes the query once every sub-query has resolved.
 func (c *Cluster) maybeFinish(sq *subQuery) {
 	q := sq.q
 	if q.done+q.failed != q.total {
 		return
 	}
 	if q.failed > 0 {
-		if c.sh == nil {
-			c.stats.QueriesLost++
-		} else {
-			c.cellOf(sq.aggIdx).queriesLost++
-		}
+		c.stats.QueriesLost++
 		return
 	}
-	lat := c.nowAt(sq.aggIdx) - q.start
-	if c.sh == nil {
-		c.stats.Queries++
-		c.stats.QueryLatency.Add(lat)
-		if lat > c.Cfg.ServerBudget+c.Cfg.NetworkBudget+1e-12 {
-			c.stats.SLAMisses++
-		}
-	} else {
-		cell := c.cellOf(sq.aggIdx)
-		cell.queries++
-		cell.queryLat = append(cell.queryLat, tsample{c.nowAt(sq.aggIdx), lat})
-		if lat > c.Cfg.ServerBudget+c.Cfg.NetworkBudget+1e-12 {
-			cell.slaMisses++
-		}
+	lat := c.eng.Now() - q.start
+	c.stats.Queries++
+	c.stats.QueryLatency.Add(lat)
+	if lat > c.Cfg.ServerBudget+c.Cfg.NetworkBudget+1e-12 {
+		c.stats.SLAMisses++
 	}
 	if c.OnQueryComplete != nil {
 		c.OnQueryComplete(lat)
@@ -784,13 +733,7 @@ func (c *Cluster) enqueueWithReply(sq *subQuery, gen int, req *server.Request) {
 		if sq.resolved || gen != sq.gen {
 			return // abandoned while queued or in service
 		}
-		now := c.nowAt(isn)
-		if c.sh == nil {
-			c.stats.ServerLat.Add(now - arrival)
-		} else {
-			cell := c.cellOf(isn)
-			cell.serverLat = append(cell.serverLat, tsample{now, now - arrival})
-		}
+		c.stats.ServerLat.Add(c.eng.Now() - arrival)
 		c.net.SendMessage(c.FlowID(isn, sq.aggIdx), c.Cfg.ReplyBytes,
 			func(replyLat float64) { c.onReplyArrived(sq, gen, replyLat) },
 			func() { c.onDrop(sq, gen) })
@@ -919,17 +862,4 @@ func (c *Cluster) RequestMissRate() float64 {
 		return 0
 	}
 	return float64(misses) / float64(completed)
-}
-
-// RequestP95 returns the 95th-percentile per-sub-query server latency
-// pooled across ISNs (approximated by the max of per-server p95s to avoid
-// merging trackers).
-func (c *Cluster) RequestP95() float64 {
-	worst := 0.0
-	for _, srv := range c.srvs {
-		if q := srv.Stats().ServerLatency.Quantile(0.95); q > worst {
-			worst = q
-		}
-	}
-	return worst
 }

@@ -199,24 +199,7 @@ func availabilityCell(failRate float64, cfg AvailabilityConfig, seed int64) (Ava
 	// elephants (same layout as the Fig 10/11 harness).
 	var bgFlows []flow.Flow
 	if cfg.BgUtil > 0 {
-		fid := flow.ID(50000)
-		k := ft.Cfg.K
-		hostsPerPod := len(ft.Hosts) / k
-		for sp := 0; sp < k; sp++ {
-			for dp := 0; dp < k; dp++ {
-				if sp == dp {
-					continue
-				}
-				bgFlows = append(bgFlows, flow.Flow{
-					ID:        fid,
-					Src:       ft.Hosts[sp*hostsPerPod+dp%hostsPerPod],
-					Dst:       ft.Hosts[dp*hostsPerPod+sp%hostsPerPod],
-					DemandBps: cfg.BgUtil * ft.Cfg.LinkCapacityBps,
-					Class:     flow.Background,
-				})
-				fid++
-			}
-		}
+		bgFlows = podPairElephants(ft, cfg.BgUtil)
 	}
 	reserve := cl.QueryDemandBps(cfg.QueryRate)
 	if reserve < 1 {

@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"fmt"
 	"reflect"
 	"testing"
 )
@@ -22,6 +23,29 @@ func TestFig11WorkerCountInvariance(t *testing.T) {
 	seq, par := run(1), run(4)
 	if !reflect.DeepEqual(seq, par) {
 		t.Fatalf("Fig 11 rows differ across worker counts:\nseq %+v\npar %+v", seq, par)
+	}
+}
+
+// Fig 10 with on-demand ECMP query routes: each cell resolves its pair
+// routes lazily in its own network, in whatever order traffic first
+// references them, and the rendered rows must still match byte for byte.
+func TestFig10ECMPWorkerCountInvariance(t *testing.T) {
+	run := func(workers int) string {
+		cfg := NetLatencyConfig{DurationS: 0.4, K: 4, ECMPQueries: true, Workers: workers}
+		rows, err := Fig10AggregationLatency([]int{0, 3}, []float64{0.10, 0.30}, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		out := ""
+		for _, r := range rows {
+			out += fmt.Sprintf("fig10 %d %.17g %.17g %.17g %.17g %d\n",
+				r.Level, r.BgUtil, r.MeanS, r.P95S, r.P99S, r.Dropped)
+		}
+		return out
+	}
+	seq, par := run(1), run(2)
+	if seq != par {
+		t.Fatalf("ECMP Fig 10 rows differ across worker counts:\n--- workers=1\n%s--- workers=2\n%s", seq, par)
 	}
 }
 

@@ -202,25 +202,15 @@ type NetLatencyConfig struct {
 	// simulator with it off, and within the pinned statistical
 	// tolerance (TestFig10FluidTolerance) with it on.
 	Fluid bool
-	// Shards splits each cell's packet simulation across pod shards run in
-	// conservative lockstep windows (sim.Sharded): shard s owns a block of
-	// pods — its servers, edge/agg switches and intra-pod links — and
-	// cross-pod packets cross shards at window barriers bounded by the
-	// per-hop lookahead. 0 or 1 is the historical sequential engine; n > 1
-	// uses n shards (clamped to the pod count); < 0 picks
-	// min(parallel.DefaultWorkers(), K). Figure output is identical to the
-	// sequential engine for every shard count (TestShardedFigEquivalence).
-	Shards int
 	// ECMPQueries routes query-pair traffic directly over deterministic
 	// hash-selected ECMP shortest paths restricted to the active set,
 	// instead of handing one flow per ordered host pair to the
-	// consolidation placer. Placement cost for query traffic drops from
-	// O(hosts² × paths) to O(hosts²), which is what makes k ≥ 16 fabrics
-	// (≥ 1M host pairs) runnable; background flows are still placed by the
-	// consolidator. Above ecmpLazyPairs ordered pairs (k=32's 8192 hosts)
-	// the sequential engine skips even the O(hosts²) precompute and
-	// resolves pair routes on demand at first use. Off by default: the
-	// figure experiments keep the paper's reservation-aware placement.
+	// consolidation placer. Pair routes resolve on demand at first use
+	// (netsim.SetRouteResolver), so only pairs that actually exchange
+	// traffic ever cost a route — which is what makes k ≥ 16 fabrics
+	// (≥ 1M host pairs) runnable; background flows are still placed by
+	// the consolidator. Off by default: the figure experiments keep the
+	// paper's reservation-aware placement.
 	ECMPQueries bool
 }
 
@@ -242,37 +232,11 @@ func (c *NetLatencyConfig) fill() {
 	}
 }
 
-// shardCount resolves the Shards knob against the pod count k.
-func (c *NetLatencyConfig) shardCount(k int) int {
-	n := c.Shards
-	if n < 0 {
-		n = parallel.DefaultWorkers()
-	}
-	if n > k {
-		n = k
-	}
-	if n < 1 {
-		n = 1
-	}
-	return n
-}
-
-// ecmpLazyPairs is the ordered-host-pair count above which ECMPQueries
-// stops precomputing the all-pairs route table and installs an on-demand
-// route resolver instead (netsim.SetRouteResolver): only pairs that
-// actually exchange traffic ever intern a route. k=16 (≈1M pairs) stays
-// eager — its figures and benchmarks are pinned byte-identical across
-// PRs — while k=32 (≈67M pairs) resolves lazily, which is what makes the
-// 8192-host fabric simulable at all. Lazy resolution is sequential-only
-// (the sharded engine rejects resolvers: interning would mutate the
-// route map and arena from shard contexts).
-const ecmpLazyPairs = 4 << 20
-
 // ecmpPath returns the deterministic hash-probed active ECMP shortest
 // path for ordered host pair (i, j), built into buf's backing (pass the
 // returned path back as buf to probe the next pair without allocating).
-// The probe order is a murmur-style hash of the pair, so reruns, shard
-// counts and the eager/lazy construction modes all pick the same path.
+// The probe order is a murmur-style hash of the pair, so reruns pick the
+// same path whatever order the pairs first exchange traffic in.
 func ecmpPath(ft *fattree.FatTree, active *topology.ActiveSet, i, j int, buf topology.Path) (topology.Path, bool) {
 	src, dst := ft.Hosts[i], ft.Hosts[j]
 	np := ft.NumPaths(src, dst)
@@ -290,46 +254,6 @@ func ecmpPath(ft *fattree.FatTree, active *topology.ActiveSet, i, j int, buf top
 	return buf, false
 }
 
-// ecmpQueryRoutes installs one active ECMP shortest path per ordered host
-// pair, chosen by a deterministic hash probe over the canonical path
-// enumeration (fattree.PathByIndex) so reruns and shard counts agree.
-// With the interned route plane the whole table costs one small RouteRef
-// per pair plus the shared segment arena — no per-pair hop records.
-func ecmpQueryRoutes(net *netsim.Network, cl *cluster.Cluster, ft *fattree.FatTree, active *topology.ActiveSet) error {
-	hosts := ft.Hosts
-	reserveEagerECMP(net, len(hosts))
-	var scratch topology.Path
-	for i := range hosts {
-		for j := range hosts {
-			if i == j {
-				continue
-			}
-			p, ok := ecmpPath(ft, active, i, j, scratch)
-			scratch = p
-			if !ok {
-				return fmt.Errorf("%w: no active ECMP path host %d→%d", ErrInfeasible, i, j)
-			}
-			if err := net.SetRoute(cl.FlowID(i, j), p); err != nil {
-				return err
-			}
-		}
-	}
-	return nil
-}
-
-// reserveEagerECMP presizes the route table and arena so the eager
-// all-pairs sweep appends into backing that never reallocates. Pair IDs
-// are dense in [0, hosts²), so the dense route tier covers every flow;
-// segment/hop counts are sized from the measured interning ratio
-// (~pairs/7 segments, ~pairs/2.5 hops at k=16) with ~20% slack —
-// undershoot just falls back to append growth. Idempotent: a second call
-// with the same bound is a no-op.
-func reserveEagerECMP(net *netsim.Network, hosts int) {
-	pairs := hosts * hosts
-	net.ReserveRoutes(pairs)
-	net.Arena().Reserve(pairs/6, pairs/2)
-}
-
 // ErrInfeasible reports that a flow set could not be placed at the
 // requested operating point (expected for large K at high background).
 var ErrInfeasible = errors.New("placement infeasible")
@@ -344,6 +268,63 @@ type Fig10Row struct {
 	Dropped int
 }
 
+// podPairElephants returns one background elephant per ordered pod pair,
+// each demanding bgUtil of a link. Each pod's elephants are spread across
+// its hosts (one per source host) so access links are not the
+// bottleneck. Query pairs own flow IDs [0, hosts²)
+// (cluster.FlowID(i, j) = i*hosts+j), so the elephant IDs start at
+// max(50000, hosts²): k ≤ 8 fabrics keep their pinned IDs, and no
+// elephant shares an ID — and hence a route — with a query pair.
+func podPairElephants(ft *fattree.FatTree, bgUtil float64) []flow.Flow {
+	k := ft.Cfg.K
+	hosts := len(ft.Hosts)
+	hostsPerPod := hosts / k
+	fid := flow.ID(max(50000, hosts*hosts))
+	out := make([]flow.Flow, 0, k*(k-1))
+	for sp := 0; sp < k; sp++ {
+		for dp := 0; dp < k; dp++ {
+			if sp == dp {
+				continue
+			}
+			out = append(out, flow.Flow{
+				ID:        fid,
+				Src:       ft.Hosts[sp*hostsPerPod+dp%hostsPerPod],
+				Dst:       ft.Hosts[dp*hostsPerPod+sp%hostsPerPod],
+				DemandBps: bgUtil * ft.Cfg.LinkCapacityBps,
+				Class:     flow.Background,
+			})
+			fid++
+		}
+	}
+	return out
+}
+
+// ecmpResolver returns the on-demand route source for query pair flows:
+// flow i*hosts+j resolves to ecmpPath(i, j) over active. A pair with no
+// active shortest path resolves to nil (its message drops) and bumps
+// *unrouted, so the caller can report the run infeasible.
+func ecmpResolver(ft *fattree.FatTree, active *topology.ActiveSet, unrouted *int) func(flow.ID) topology.Path {
+	hosts := int64(len(ft.Hosts))
+	var scratch topology.Path
+	return func(fid flow.ID) topology.Path {
+		q := int64(fid)
+		if q < 0 || q >= hosts*hosts {
+			return nil
+		}
+		i, j := int(q/hosts), int(q%hosts)
+		if i == j {
+			return nil
+		}
+		p, ok := ecmpPath(ft, active, i, j, scratch)
+		scratch = p
+		if !ok {
+			*unrouted++
+			return nil
+		}
+		return p
+	}
+}
+
 // measureNetwork runs the search cluster over a given active set with
 // all-to-all pod background flows at bgUtil, returning request network
 // latency statistics.
@@ -352,20 +333,6 @@ func measureNetwork(active *topology.ActiveSet, ft *fattree.FatTree, bgUtil floa
 	ncfg := netsim.DefaultConfig()
 	ncfg.FluidBackground = cfg.Fluid
 	net := netsim.New(eng, ft.Graph, ncfg)
-	run := eng.Run
-	shards := cfg.shardCount(ft.Cfg.K)
-	if shards > 1 {
-		part, err := ft.Partition(shards)
-		if err != nil {
-			return nil, 0, err
-		}
-		se := sim.NewSharded(eng, part.Shards, ncfg.HopDelay)
-		defer se.Close()
-		if err := net.Shard(se, part); err != nil {
-			return nil, 0, err
-		}
-		run = se.Run
-	}
 	d, err := workload.ServiceDist(workload.DefaultServiceConfig())
 	if err != nil {
 		return nil, 0, err
@@ -377,38 +344,7 @@ func measureNetwork(active *topology.ActiveSet, ft *fattree.FatTree, bgUtil floa
 		return nil, 0, err
 	}
 
-	// Background: all ordered pod pairs. The historical flow-ID base 50000
-	// sits INSIDE the query-pair ID space (cluster.FlowID(i, j) = i*hosts+j)
-	// once hosts² > 50000, so eager ECMP route installation overwrites the
-	// elephants' placed routes with pair routes at k=16 — an artifact baked
-	// into the pinned k=16 figures and benchmarks, so it must stay. Lazy
-	// ECMP mode has no such pin (it is what unlocks k=32 in this repo) and
-	// moves the elephants out of the pair space entirely.
-	hosts := len(ft.Hosts)
-	lazyECMP := cfg.ECMPQueries && shards <= 1 && hosts*hosts > ecmpLazyPairs
-	var bgFlows []flow.Flow
-	fid := flow.ID(50000)
-	if lazyECMP {
-		fid = flow.ID(hosts * hosts)
-	}
-	k := ft.Cfg.K
-	hostsPerPod := len(ft.Hosts) / k
-	// Spread each pod's elephants across its hosts so access links are
-	// not the bottleneck (one elephant per source host).
-	for sp := 0; sp < k; sp++ {
-		for dp := 0; dp < k; dp++ {
-			if sp == dp {
-				continue
-			}
-			bgFlows = append(bgFlows, flow.Flow{
-				ID:        fid,
-				Src:       ft.Hosts[sp*hostsPerPod+dp%hostsPerPod],
-				Dst:       ft.Hosts[dp*hostsPerPod+sp%hostsPerPod],
-				DemandBps: bgUtil * ft.Cfg.LinkCapacityBps, Class: flow.Background,
-			})
-			fid++
-		}
-	}
+	bgFlows := podPairElephants(ft, bgUtil)
 	// Query pair flows participate in placement so consolidation sees
 	// them (Fig 11's K applies to them). The reservation is the bursty
 	// 90th-percentile demand, not the mean.
@@ -434,53 +370,16 @@ func measureNetwork(active *topology.ActiveSet, ft *fattree.FatTree, bgUtil floa
 	if !placed.Feasible {
 		return nil, 0, fmt.Errorf("%w (%d unplaced)", ErrInfeasible, len(placed.Unplaced))
 	}
-	if active != nil {
-		net.SetActive(active)
-	} else {
-		net.SetActive(placed.Active)
+	if active == nil {
+		active = placed.Active
 	}
-	if cfg.ECMPQueries && !lazyECMP {
-		// Presize the route table and arena BEFORE the first interning
-		// (InstallRoutes below): the eager all-pairs sweep is about to
-		// install hosts² routes, and the arena presizes its lookup map
-		// only while still empty.
-		reserveEagerECMP(net, hosts)
-	}
+	net.SetActive(active)
 	if err := net.InstallRoutes(placed.Paths); err != nil {
 		return nil, 0, err
 	}
+	unrouted := 0
 	if cfg.ECMPQueries {
-		act := active
-		if act == nil {
-			act = placed.Active
-		}
-		if lazyECMP {
-			// On-demand route plane: pair routes intern at first use. A
-			// pair with no active ECMP path resolves to nil and its
-			// queries drop — the lazy analogue of eager mode's up-front
-			// infeasibility error, reported by the drop counters instead.
-			var scratch topology.Path
-			err := net.SetRouteResolver(func(qf flow.ID) topology.Path {
-				q := int64(qf)
-				hh := int64(hosts)
-				if q < 0 || q >= hh*hh {
-					return nil
-				}
-				i, j := int(q/hh), int(q%hh)
-				if i == j {
-					return nil
-				}
-				p, ok := ecmpPath(ft, act, i, j, scratch)
-				scratch = p
-				if !ok {
-					return nil
-				}
-				return p
-			})
-			if err != nil {
-				return nil, 0, err
-			}
-		} else if err := ecmpQueryRoutes(net, cl, ft, act); err != nil {
+		if err := net.SetRouteResolver(ecmpResolver(ft, active, &unrouted)); err != nil {
 			return nil, 0, err
 		}
 	}
@@ -493,12 +392,15 @@ func measureNetwork(active *topology.ActiveSet, ft *fattree.FatTree, bgUtil floa
 	}
 	sampler := workload.NewSampler(d, cfg.Seed+5)
 	stop := cl.StartPoisson(func() float64 { return cfg.QueryRate }, sampler.Draw, cfg.Seed+11)
-	run(cfg.DurationS)
+	eng.Run(cfg.DurationS)
 	stop()
 	for _, b := range bgs {
 		b.Stop()
 	}
-	run(cfg.DurationS + 0.5)
+	eng.Run(cfg.DurationS + 0.5)
+	if unrouted > 0 {
+		return nil, 0, fmt.Errorf("%w: %d query messages found no active ECMP path", ErrInfeasible, unrouted)
+	}
 	return cl.Stats(), placed.Active.ActiveSwitches(), nil
 }
 

@@ -261,24 +261,7 @@ func overloadCell(mult float64, admission bool, cfg OverloadConfig, seed int64) 
 	// elephants before any query is shed.
 	var bgFlows []flow.Flow
 	if cfg.BgUtil > 0 {
-		fid := flow.ID(50000)
-		k := ft.Cfg.K
-		hostsPerPod := len(ft.Hosts) / k
-		for sp := 0; sp < k; sp++ {
-			for dp := 0; dp < k; dp++ {
-				if sp == dp {
-					continue
-				}
-				bgFlows = append(bgFlows, flow.Flow{
-					ID:        fid,
-					Src:       ft.Hosts[sp*hostsPerPod+dp%hostsPerPod],
-					Dst:       ft.Hosts[dp*hostsPerPod+sp%hostsPerPod],
-					DemandBps: cfg.BgUtil * ft.Cfg.LinkCapacityBps,
-					Class:     flow.Background,
-				})
-				fid++
-			}
-		}
+		bgFlows = podPairElephants(ft, cfg.BgUtil)
 	}
 	reserve := cl.QueryDemandBps(cfg.BaseRate)
 	if reserve < 1 {

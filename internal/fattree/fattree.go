@@ -200,6 +200,54 @@ func (ft *FatTree) Paths(src, dst topology.NodeID) []topology.Path {
 	return out
 }
 
+// NumPaths returns how many equal-cost shortest paths Paths(src, dst) would
+// enumerate, without building them.
+func (ft *FatTree) NumPaths(src, dst topology.NodeID) int {
+	if src == dst {
+		return 0
+	}
+	half := ft.Cfg.K / 2
+	sp, se := ft.hostPod[src], ft.hostEdge[src]
+	dp, de := ft.hostPod[dst], ft.hostEdge[dst]
+	switch {
+	case sp == dp && se == de:
+		return 1
+	case sp == dp:
+		return half
+	default:
+		return half * half
+	}
+}
+
+// PathByIndexInto builds the idx'th path of the canonical Paths(src, dst)
+// enumeration directly into buf's backing array (buf may be nil), without
+// materializing the other candidates — the ECMP fast path for large
+// fabrics, where enumerating (k/2)² paths per host pair is prohibitive.
+// idx must be in [0, NumPaths(src, dst)). Callers probing many candidates
+// allocate nothing once the scratch has grown to path length.
+func (ft *FatTree) PathByIndexInto(src, dst topology.NodeID, idx int, buf topology.Path) topology.Path {
+	half := ft.Cfg.K / 2
+	sp, se := ft.hostPod[src], ft.hostEdge[src]
+	dp, de := ft.hostPod[dst], ft.hostEdge[dst]
+	buf = buf[:0]
+	if sp == dp && se == de {
+		return append(buf, src, ft.Edge(sp, se), dst)
+	}
+	if sp == dp {
+		return append(buf, src, ft.Edge(sp, se), ft.Agg(sp, idx), ft.Edge(dp, de), dst)
+	}
+	grp, i := idx/half, idx%half
+	return append(buf,
+		src,
+		ft.Edge(sp, se),
+		ft.Agg(sp, grp),
+		ft.Core(grp, i),
+		ft.Agg(dp, grp),
+		ft.Edge(dp, de),
+		dst,
+	)
+}
+
 // NumAggregationPolicies returns how many Fig 9 consolidation levels exist:
 // the number of core switches (turning them off one at a time), i.e.
 // (k/2)² levels counting Aggregation 0 (everything on) through

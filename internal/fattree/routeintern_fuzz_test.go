@@ -10,7 +10,7 @@ import (
 // FuzzRouteIntern: for random host pairs and ECMP indices, interning the
 // canonical path into a shared segment arena and materializing it back
 // must be the identity, the interned hop records must agree with the
-// reference FindLink resolution, PathByIndex must agree with the full
+// reference FindLink resolution, PathByIndexInto must agree with the full
 // Paths enumeration, and re-interning must return the same RouteRef
 // (structural sharing, no arena growth). The arena persists across fuzz
 // iterations, so interleaved pairs exercise the collision chains.
@@ -37,9 +37,9 @@ func FuzzRouteIntern(f *testing.F) {
 			return // src == dst
 		}
 		idx := int(ix) % np
-		p := ft.PathByIndex(src, dst, idx)
+		p := ft.PathByIndexInto(src, dst, idx, nil)
 		if ref := ft.Paths(src, dst)[idx]; !reflect.DeepEqual(p, ref) {
-			t.Fatalf("PathByIndex(%d,%d,%d) = %v, enumeration gives %v", src, dst, idx, p, ref)
+			t.Fatalf("PathByIndexInto(%d,%d,%d) = %v, enumeration gives %v", src, dst, idx, p, ref)
 		}
 		r, err := arena.Intern(p)
 		if err != nil {

@@ -174,7 +174,7 @@ type Network struct {
 	// arena interns every installed route's up/down segments; routes maps
 	// each flow to its flyweight RouteRef into the arena.
 	arena  *topology.SegmentArena
-	routes routeTable
+	routes map[flow.ID]topology.RouteRef
 	// resolver, when set, supplies a path for a flow the first time
 	// traffic references it without an installed route (nil = no route).
 	// See SetRouteResolver.
@@ -195,10 +195,6 @@ type Network struct {
 	// fluid carries the hybrid fluid/packet background engine state; nil
 	// until the first StartBackground under Cfg.FluidBackground.
 	fluid *fluidState
-
-	// shd carries the sharded-execution state (see shard.go); nil in
-	// sequential mode, which keeps every sequential code path untouched.
-	shd *sharding
 
 	// pktFree and msgFree pool the per-packet and per-message structs of
 	// the forwarding pipeline. Both are bounded by the in-flight high-water
@@ -260,7 +256,7 @@ func New(eng *sim.Engine, g *topology.Graph, cfg Config) *Network {
 		active:      topology.NewActiveSet(g),
 		activeEpoch: 1, // segments start at epoch 0 → first touch validates
 		arena:       topology.NewSegmentArena(g),
-		routes:      routeTable{m: make(map[flow.ID]topology.RouteRef)},
+		routes:      make(map[flow.ID]topology.RouteRef),
 		links:       make([]linkState, 2*g.NumLinks()),
 		dirCap:      dirCap,
 		flowBytes:   make(map[flow.ID]int64),
@@ -317,56 +313,6 @@ func (n *Network) SetPriority(id flow.ID, hi bool) {
 	}
 }
 
-// routeTable maps flows to their flyweight RouteRefs in two tiers: IDs in
-// [0, len(dense)) — the pair space reserved via ReserveRoutes — live in a
-// flat 12-byte-per-slot slice (one allocation for a million-pair ECMP
-// table, against tens of MB of bucket churn for the equivalent map), and
-// everything else falls back to the map. A dense slot with zero hops means
-// "no route": Intern never returns a hopless ref for a path of two or more
-// nodes, and a single-node route is indistinguishable from no route at
-// every consumer (SendMessage drops both).
-type routeTable struct {
-	dense []topology.RouteRef
-	m     map[flow.ID]topology.RouteRef
-}
-
-func (t *routeTable) get(id flow.ID) (topology.RouteRef, bool) {
-	if id >= 0 && int(id) < len(t.dense) {
-		r := t.dense[id]
-		return r, r.UpLen|r.DownLen != 0
-	}
-	r, ok := t.m[id]
-	return r, ok
-}
-
-func (t *routeTable) set(id flow.ID, r topology.RouteRef) {
-	if id >= 0 && int(id) < len(t.dense) {
-		t.dense[id] = r
-		return
-	}
-	t.m[id] = r
-}
-
-// ReserveRoutes switches the route table's dense tier to cover flow IDs
-// [0, pairs): callers about to install a large pair-keyed route set (the
-// all-to-all ECMP table, eager or resolver-fed) declare its extent once
-// and every route in that space costs 12 bytes in a flat slice instead of
-// a map entry. Entries already installed in the covered range migrate.
-func (n *Network) ReserveRoutes(pairs int) {
-	if pairs <= len(n.routes.dense) {
-		return
-	}
-	d := make([]topology.RouteRef, pairs)
-	copy(d, n.routes.dense)
-	n.routes.dense = d
-	for id, r := range n.routes.m {
-		if id >= 0 && int(id) < pairs {
-			d[id] = r
-			delete(n.routes.m, id)
-		}
-	}
-}
-
 // SetRoute installs the path for a flow as a flyweight RouteRef: the
 // path's up/down segments are interned into the network's segment arena
 // (validating adjacency only when a segment is new — installing a route
@@ -379,7 +325,7 @@ func (n *Network) SetRoute(id flow.ID, p topology.Path) error {
 	if err != nil {
 		return fmt.Errorf("netsim: invalid route for flow %d: %v", id, err)
 	}
-	n.routes.set(id, ref)
+	n.routes[id] = ref
 	if n.fluid != nil && n.fluid.byFid[id] != nil {
 		// A fluid-managed source just got rerouted: its reservation must
 		// move (and its eligibility may change) right now.
@@ -393,7 +339,7 @@ func (n *Network) SetRoute(id flow.ID, p topology.Path) error {
 // consults the on-demand resolver: a lazily resolvable but not yet
 // referenced flow reports no route.
 func (n *Network) Route(id flow.ID) (topology.Path, bool) {
-	ref, ok := n.routes.get(id)
+	ref, ok := n.routes[id]
 	if !ok {
 		return nil, false
 	}
@@ -416,7 +362,7 @@ func (n *Network) InstallRoutes(paths map[flow.ID]topology.Path) error {
 		if err != nil {
 			return fmt.Errorf("netsim: invalid route for flow %d: %v", id, err)
 		}
-		n.routes.set(id, ref)
+		n.routes[id] = ref
 		if n.fluid != nil && n.fluid.byFid[id] != nil {
 			reeval = true
 		}
@@ -433,13 +379,9 @@ func (n *Network) InstallRoutes(paths map[flow.ID]topology.Path) error {
 // SetRoute had been called, and a nil return means "no route" (not
 // cached — the next reference asks again). This is what lets large
 // fabrics skip precomputing the all-pairs route table: only pairs that
-// actually exchange traffic ever intern a route. Rejected in sharded
-// mode, where resolution would mutate the route map and arena from
-// shard contexts.
+// actually exchange traffic ever intern a route. The error return is
+// always nil.
 func (n *Network) SetRouteResolver(f func(flow.ID) topology.Path) error {
-	if n.shd != nil && f != nil {
-		return fmt.Errorf("netsim: sharded execution does not support a route resolver")
-	}
 	n.resolver = f
 	return nil
 }
@@ -447,7 +389,7 @@ func (n *Network) SetRouteResolver(f func(flow.ID) topology.Path) error {
 // lookupRoute is the traffic-path route lookup: the installed ref, or an
 // on-demand resolution when a resolver is set.
 func (n *Network) lookupRoute(fid flow.ID) (topology.RouteRef, bool) {
-	ref, ok := n.routes.get(fid)
+	ref, ok := n.routes[fid]
 	if ok || n.resolver == nil {
 		return ref, ok
 	}
@@ -459,7 +401,7 @@ func (n *Network) lookupRoute(fid flow.ID) (topology.RouteRef, bool) {
 	if err != nil {
 		return topology.RouteRef{}, false
 	}
-	n.routes.set(fid, ref)
+	n.routes[fid] = ref
 	return ref, true
 }
 
@@ -552,10 +494,6 @@ func (n *Network) releasePacket(p *packet) {
 // delivered. Packet-level drops are counted in Dropped, message-level
 // drops in MsgDropped.
 func (n *Network) SendMessage(fid flow.ID, size int, onDelivered func(latency float64), onDropped func()) {
-	if n.shd != nil {
-		n.sendShard(fid, size, onDelivered, onDropped)
-		return
-	}
 	rt, ok := n.lookupRoute(fid)
 	if !ok || rt.NumHops() == 0 {
 		n.OfferedBytes += int64(size)
@@ -733,10 +671,6 @@ func (n *Network) StartBackground(fid flow.ID, rate func() float64, stream *rng.
 		n.startFluidBackground(b, fid, rate, stream, bits)
 		return b
 	}
-	if n.shd != nil {
-		n.startShardBackground(b, fid, rate, stream, bits)
-		return b
-	}
 	// Exactly two closures for the lifetime of the source (arm draws the
 	// next arrival, fire emits a packet); every packet reuses them, so the
 	// steady-state source allocates nothing.
@@ -792,7 +726,6 @@ func (n *Network) LinkBytesInto(out map[topology.LinkID]int64) map[topology.Link
 	} else {
 		clear(out)
 	}
-	n.SyncStats()
 	n.fluidAccrueAll()
 	for i := range n.links {
 		if n.links[i].bytes != 0 {
@@ -821,7 +754,6 @@ func (n *Network) LinkUtilizationInto(out map[topology.LinkID]float64, window fl
 	if window <= 0 {
 		return out
 	}
-	n.SyncStats()
 	n.fluidAccrueAll()
 	for i := range n.links {
 		b := n.links[i].bytes
@@ -855,7 +787,6 @@ func (n *Network) FlowRatesInto(out map[flow.ID]float64, window float64) map[flo
 	if window <= 0 {
 		return out
 	}
-	n.SyncStats()
 	n.fluidAccrueAll()
 	for id, b := range n.flowBytes {
 		out[id] = float64(b) * 8 / window
@@ -868,7 +799,6 @@ func (n *Network) FlowRatesInto(out map[flow.ID]float64, window float64) map[flo
 // background bytes accrue first, so a read-then-reset cycle never loses
 // analytic bytes.
 func (n *Network) ResetStats() {
-	n.SyncStats()
 	n.fluidAccrueAll()
 	for i := range n.links {
 		n.links[i].bytes = 0

@@ -167,7 +167,7 @@ func TestSetRouteMidFlightKeepsOldPath(t *testing.T) {
 // the materialized path must round-trip the installed one.
 func TestPreresolvedRouteMatchesDirLinks(t *testing.T) {
 	_, n := benchChain(t, DefaultConfig())
-	r, _ := n.routes.get(1)
+	r := n.routes[1]
 	path, ok := n.Route(1)
 	if !ok {
 		t.Fatal("installed route not found")

@@ -32,8 +32,8 @@ import (
 )
 
 // DefaultWorkers is the worker count the cmd/ tools default their -workers
-// flag to, and the shard count `-shards -1` resolves to: the effective Go
-// parallelism limit. GOMAXPROCS, unlike NumCPU, respects cgroup CPU quotas
+// flag to — sweep cells are independent simulations, so cell-level fan-out
+// is where extra cores pay off: the effective Go parallelism limit. GOMAXPROCS, unlike NumCPU, respects cgroup CPU quotas
 // (since go1.25) and explicit user overrides, so containerized runs don't
 // oversubscribe a small quota with one worker per host CPU.
 func DefaultWorkers() int { return runtime.GOMAXPROCS(0) }

@@ -76,7 +76,6 @@ type Placement struct {
 	// replicas[p] lists partition p's replica host indices in ring
 	// (preference) order: replicas[p][0] is the primary.
 	replicas [][]int
-	members  int
 	pods     int
 }
 
@@ -94,8 +93,8 @@ func hashHostVNode(seed int64, h, v int) uint64 {
 	return splitmix64(uint64(seed)*0x100000001b3 ^ uint64(h)<<20 ^ uint64(v))
 }
 
-// hashPartition locates partition p's anchor on the ring.
-func hashPartition(seed int64, p int) uint64 {
+// partitionAnchor locates partition p's anchor on the ring.
+func partitionAnchor(seed int64, p int) uint64 {
 	return splitmix64(uint64(seed)*0xcbf29ce484222325 ^ 0xabcd<<32 ^ uint64(p))
 }
 
@@ -142,12 +141,12 @@ func New(cfg Config) (*Placement, error) {
 		return ring[a].host < ring[b].host
 	})
 
-	pl := &Placement{Cfg: cfg, replicas: make([][]int, cfg.Partitions), members: members, pods: len(podSeen)}
+	pl := &Placement{Cfg: cfg, replicas: make([][]int, cfg.Partitions), pods: len(podSeen)}
 	spreadPods := cfg.Replicas <= len(podSeen)
 	usedHost := make(map[int]bool, cfg.Replicas)
 	usedPod := make(map[int]bool, cfg.Replicas)
 	for p := 0; p < cfg.Partitions; p++ {
-		anchor := hashPartition(cfg.Seed, p)
+		anchor := partitionAnchor(cfg.Seed, p)
 		start := sort.Search(len(ring), func(i int) bool { return ring[i].hash >= anchor })
 		reps := make([]int, 0, cfg.Replicas)
 		for k := range usedHost {
@@ -182,12 +181,6 @@ func New(cfg Config) (*Placement, error) {
 
 // Partitions returns P.
 func (pl *Placement) Partitions() int { return pl.Cfg.Partitions }
-
-// ReplicaFactor returns R.
-func (pl *Placement) ReplicaFactor() int { return pl.Cfg.Replicas }
-
-// Members returns the member host count.
-func (pl *Placement) Members() int { return pl.members }
 
 // Replicas returns partition p's replica host indices in preference order
 // (index 0 is the primary). The slice is owned by the placement — callers

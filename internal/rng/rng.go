@@ -35,9 +35,6 @@ func (s *Stream) Float64() float64 { return s.r.Float64() }
 // Intn returns a uniform integer in [0,n).
 func (s *Stream) Intn(n int) int { return s.r.Intn(n) }
 
-// Perm returns a random permutation of [0,n).
-func (s *Stream) Perm(n int) []int { return s.r.Perm(n) }
-
 // Uniform returns a uniform variate in [lo,hi).
 func (s *Stream) Uniform(lo, hi float64) float64 {
 	return lo + (hi-lo)*s.r.Float64()

@@ -481,15 +481,6 @@ func (s *Server) SaturationEpochs() int64 {
 	return n
 }
 
-// Policies returns the per-core policy instances (introspection).
-func (s *Server) Policies() []Policy {
-	out := make([]Policy, len(s.cores))
-	for i, c := range s.cores {
-		out[i] = c.policy
-	}
-	return out
-}
-
 // Wakes returns total sleep-state exits across cores.
 func (s *Server) Wakes() int {
 	n := 0
@@ -497,16 +488,6 @@ func (s *Server) Wakes() int {
 		n += c.wakes
 	}
 	return n
-}
-
-// Frequencies returns the current per-core frequency settings (for tests
-// and introspection).
-func (s *Server) Frequencies() []float64 {
-	out := make([]float64, len(s.cores))
-	for i, c := range s.cores {
-		out[i] = c.freq
-	}
-	return out
 }
 
 // MissRate returns the fraction of completed requests that missed their

@@ -14,12 +14,6 @@ import "fmt"
 // a route into a 12-byte RouteRef value indexing shared []DirHop backing
 // instead of a per-flow heap object.
 //
-// The apex split is also the shard-ownership split of the pod-partitioned
-// parallel engine: every hop of an up-segment is owned by the source
-// pod's shard and every hop of a down-segment by the destination pod's,
-// so per-segment mutable state (the liveness mask below) is still touched
-// by exactly one shard.
-//
 // Liveness lives per segment, not per route: each segment carries an
 // epoch-stamped on/off mask over its hops, lazily recomputed against an
 // ActiveSet when a consumer observes a stale epoch. Segments are
@@ -78,31 +72,6 @@ func (r RouteRef) SegAt(hop int) (SegID, int) {
 // NewSegmentArena returns an empty arena over g.
 func NewSegmentArena(g *Graph) *SegmentArena {
 	return &SegmentArena{g: g, lookup: make(map[uint64][]SegID)}
-}
-
-// Reserve presizes the arena for nsegs segments totalling nhops hops, so
-// a bulk route installation (the eager all-pairs ECMP sweep) appends into
-// backing that never reallocates. Overshooting costs only the slack;
-// undershooting falls back to append growth. The lookup map is rebuilt
-// presized only while still empty — rehashing a populated map would cost
-// more than the growth it avoids.
-func (a *SegmentArena) Reserve(nsegs, nhops int) {
-	if nhops > cap(a.hops) {
-		hops := make([]DirHop, len(a.hops), nhops)
-		copy(hops, a.hops)
-		a.hops = hops
-		off := make([]bool, len(a.off), nhops)
-		copy(off, a.off)
-		a.off = off
-	}
-	if nsegs > cap(a.segs) {
-		segs := make([]segMeta, len(a.segs), nsegs)
-		copy(segs, a.segs)
-		a.segs = segs
-	}
-	if len(a.lookup) == 0 && nsegs > 0 {
-		a.lookup = make(map[uint64][]SegID, nsegs)
-	}
 }
 
 // splitApex returns the index of the path's apex: the first occurrence of
@@ -220,9 +189,6 @@ func (a *SegmentArena) Seg(s SegID) SegView {
 // Head returns the segment's first node.
 func (a *SegmentArena) Head(s SegID) NodeID { return a.segs[s].head }
 
-// SegLen returns the segment's hop count.
-func (a *SegmentArena) SegLen(s SegID) int { return int(a.segs[s].n) }
-
 // SegEpoch returns the ActiveSet generation the segment's liveness mask
 // was last computed against (0 = never validated).
 func (a *SegmentArena) SegEpoch(s SegID) uint64 { return a.segs[s].epoch }
@@ -254,43 +220,6 @@ func (a *SegmentArena) Revalidate(s SegID, active *ActiveSet, epoch uint64) {
 	}
 	m.numOff = num
 	m.epoch = epoch
-}
-
-// RevalidateAll brings every stale segment's mask up to epoch. The
-// sharded engine calls it at run start, while every shard is quiesced,
-// so no mask write ever happens from packet context in sharded mode.
-func (a *SegmentArena) RevalidateAll(active *ActiveSet, epoch uint64) {
-	for s := range a.segs {
-		if a.segs[s].epoch != epoch {
-			a.Revalidate(SegID(s), active, epoch)
-		}
-	}
-}
-
-// FirstDir returns the directed-link index of the route's first hop.
-// The route must have at least one hop.
-func (a *SegmentArena) FirstDir(r RouteRef) int {
-	if r.UpLen > 0 {
-		return a.hops[a.segs[r.Up].start].Dir
-	}
-	if r.DownLen > 0 {
-		return a.hops[a.segs[r.Down].start].Dir
-	}
-	panic("topology: FirstDir of a hopless route")
-}
-
-// LastDir returns the directed-link index of the route's last hop.
-// The route must have at least one hop.
-func (a *SegmentArena) LastDir(r RouteRef) int {
-	if r.DownLen > 0 {
-		m := &a.segs[r.Down]
-		return a.hops[m.start+m.n-1].Dir
-	}
-	if r.UpLen > 0 {
-		m := &a.segs[r.Up]
-		return a.hops[m.start+m.n-1].Dir
-	}
-	panic("topology: LastDir of a hopless route")
 }
 
 // MaterializePath rebuilds the node sequence of a route — the inverse of

@@ -171,9 +171,6 @@ func TestMaterializeRoundTrip(t *testing.T) {
 				t.Errorf("path %v hop %d: interned %+v, want link %d to %d", p, i, h, lid, p[i+1])
 			}
 		}
-		if fd := a.FirstDir(r); fd != a.Seg(r.Up).Hops[0].Dir && r.UpLen > 0 {
-			t.Errorf("FirstDir = %d", fd)
-		}
 	}
 }
 
@@ -207,7 +204,12 @@ func TestRevalidateMasks(t *testing.T) {
 	act := NewActiveSet(f.g)
 	act.SetLink(f.le0a0, false) // up-segment hop 1 (e0→a0)
 	act.SetNode(f.e1, false)    // down-segment hop 1 arrives at e1
-	a.RevalidateAll(act, 7)
+	// r3 shares r1's up-segment, so its three distinct segments cover
+	// the whole arena.
+	segs := []SegID{r1.Up, r1.Down, r3.Down}
+	for _, s := range segs {
+		a.Revalidate(s, act, 7)
+	}
 	for s := 0; s < a.NumSegments(); s++ {
 		if a.SegEpoch(SegID(s)) != 7 {
 			t.Errorf("segment %d epoch %d, want 7", s, a.SegEpoch(SegID(s)))
@@ -229,7 +231,9 @@ func TestRevalidateMasks(t *testing.T) {
 		t.Error("shared up-segment not revalidated through the other route")
 	}
 	// Turning everything back on at a later epoch clears the masks.
-	a.RevalidateAll(NewActiveSet(f.g), 8)
+	for _, s := range segs {
+		a.Revalidate(s, NewActiveSet(f.g), 8)
+	}
 	for s := 0; s < a.NumSegments(); s++ {
 		if a.SegNumOff(SegID(s)) != 0 {
 			t.Errorf("segment %d still has %d hops off after full reactivation", s, a.SegNumOff(SegID(s)))
