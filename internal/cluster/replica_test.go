@@ -1,6 +1,7 @@
 package cluster
 
 import (
+	"fmt"
 	"testing"
 
 	"eprons/internal/fattree"
@@ -366,4 +367,51 @@ func FuzzReplicaFailover(f *testing.F) {
 			t.Fatal(err)
 		}
 	})
+}
+
+// Once warmed up, reading the hedge delay (the running p95 RTT) allocates
+// nothing: it runs on every non-hedge dispatch.
+func TestHedgeDelayAllocsPinned(t *testing.T) {
+	c, eng, _, _ := buildReplicated(t, 3, func(cfg *Config) { cfg.Selection = SelHedged })
+	for i := 0; i < 4; i++ {
+		c.SubmitQuery(func() float64 { return 1e-3 })
+		eng.RunAll()
+	}
+	if n := c.repl.rtt.Count(); n < hedgeWarmupSamples {
+		t.Fatalf("only %d RTT samples after warm-up, want >= %d", n, hedgeWarmupSamples)
+	}
+	var x float64
+	allocs := testing.AllocsPerRun(100, func() { x += c.hedgeDelay() })
+	if allocs != 0 {
+		t.Fatalf("warm hedgeDelay allocates %.1f/op, want 0", allocs)
+	}
+	if x <= 0 {
+		t.Fatal("hedge delay not positive")
+	}
+}
+
+// BenchmarkReplicaHedgedQuery runs a 16-host R=3 hedged cluster under a
+// 200 queries/s Poisson stream for a fixed span of simulated time and
+// reports the cost per submitted query. A per-query cost that grows with
+// the run length (the 60 s cell well above the 10 s one) means some
+// per-dispatch work scales with the samples seen so far.
+func BenchmarkReplicaHedgedQuery(b *testing.B) {
+	for _, simS := range []float64{10, 60} {
+		b.Run(fmt.Sprintf("sim=%gs", simS), func(b *testing.B) {
+			b.ReportAllocs()
+			var queries int
+			for i := 0; i < b.N; i++ {
+				b.StopTimer()
+				c, eng, _, _ := buildReplicated(b, 3, func(cfg *Config) { cfg.Selection = SelHedged })
+				sampler := workload.NewSampler(c.Cfg.ServiceDist, 3)
+				b.StartTimer()
+				stop := c.StartPoisson(func() float64 { return 200 }, sampler.Draw, 9)
+				eng.Run(simS)
+				stop()
+				eng.RunAll()
+				queries += c.Stats().QueriesSubmitted
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(queries), "ns/query")
+		})
+	}
 }

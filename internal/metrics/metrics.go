@@ -203,6 +203,9 @@ func (w *Window) Quantile(q float64) float64 {
 	if idx < 0 {
 		idx = 0
 	}
+	if idx >= len(s) {
+		idx = len(s) - 1
+	}
 	return s[idx]
 }
 

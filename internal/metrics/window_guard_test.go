@@ -56,6 +56,16 @@ func TestQuantileOrRejectsBadQuantiles(t *testing.T) {
 	}
 }
 
+// Quantile clamps q > 1 to the maximum, as Tracker.Quantile does.
+func TestQuantileClampsAboveOne(t *testing.T) {
+	w := NewWindow(1)
+	w.Add(0, 5)
+	w.Add(0, 3)
+	if got := w.Quantile(1.5); got != 5 {
+		t.Fatalf("Quantile(1.5) = %g, want the maximum 5", got)
+	}
+}
+
 func TestGuardedAccessorsNeverNaN(t *testing.T) {
 	w := NewWindow(0.5)
 	for i := 0; i < 10; i++ {
