@@ -16,9 +16,10 @@
 #   make bench      — the allocation/latency benchmarks the perf work tracks
 #                     (engine scheduling/cancellation, packet forwarding,
 #                     background elephants packet vs fluid, FFT convolution
-#                     reuse, DVFS decide, Fig 10 end-to-end packet/fluid/k=8,
-#                     Fig 15 end-to-end, replicated-tier ns/query at 10 s
-#                     and 60 s of simulated time).
+#                     reuse, DVFS decide, server power table training,
+#                     Fig 10 end-to-end packet/fluid/k=8, Fig 15 end-to-end,
+#                     replicated-tier ns/query at 10 s and 60 s of
+#                     simulated time).
 #   make bench-json — run the tier-1 benches and snapshot them to
 #                     BENCH_<n>.json (name, ns/op, B/op, allocs/op) so the
 #                     perf trajectory is machine-readable across PRs.
@@ -46,8 +47,9 @@
 #                     replica failover conservation under random crash/repair
 #                     schedules, analytic-twin monotonicity, route-segment
 #                     intern/materialize equivalence, running-quantile
-#                     equivalence with copy+sort); FUZZTIME=30s lengthens
-#                     each target's budget.
+#                     equivalence with copy+sort, error-banded DVFS
+#                     decisions equal to the exact ones); FUZZTIME=30s
+#                     lengthens each target's budget.
 #   make twincheck  — validate the closed-form analytic twin against the
 #                     DES on the Fig 10 grid and the trained server table
 #                     (quick grid); fails when an in-domain cell breaks
@@ -59,11 +61,11 @@ GOFMT ?= gofmt
 
 # The tier-1 benchmark suite tracked across PRs: scheduler hot path,
 # packet pipeline, background-elephant cost (packet vs fluid), FFT/DVFS
-# kernels, the Fig 10 (packet, fluid, k=8, k=16, k=32) and Fig 15
-# end-to-end sweeps, and the replicated tier's per-query cost at two run
-# lengths.
-BENCH_PATTERN = 'BenchmarkEngine|BenchmarkNetsimForward|BenchmarkNetsimBackground|BenchmarkFFT|BenchmarkDVFS|BenchmarkAblationConvolution|BenchmarkFig10|BenchmarkFig15DiurnalSavings|BenchmarkReplicaHedgedQuery'
-BENCH_PKGS = . ./internal/sim ./internal/netsim ./internal/fft ./internal/dvfs ./internal/cluster
+# kernels, server power table training, the Fig 10 (packet, fluid, k=8,
+# k=16, k=32) and Fig 15 end-to-end sweeps, and the replicated tier's
+# per-query cost at two run lengths.
+BENCH_PATTERN = 'BenchmarkEngine|BenchmarkNetsimForward|BenchmarkNetsimBackground|BenchmarkFFT|BenchmarkDVFS|BenchmarkAblationConvolution|BenchmarkTrainServerPowerTable|BenchmarkFig10|BenchmarkFig15DiurnalSavings|BenchmarkReplicaHedgedQuery'
+BENCH_PKGS = . ./internal/sim ./internal/netsim ./internal/fft ./internal/dvfs ./internal/core ./internal/cluster
 BENCHCOUNT ?= 3
 BENCHGUARD_PCT ?= 10
 
@@ -105,6 +107,7 @@ fuzz-short:
 	$(GO) test -run XXX -fuzz FuzzTwinMonotonic -fuzztime $(FUZZTIME) ./internal/twin
 	$(GO) test -run XXX -fuzz FuzzRouteIntern -fuzztime $(FUZZTIME) ./internal/fattree
 	$(GO) test -run XXX -fuzz FuzzRunningQuantile -fuzztime $(FUZZTIME) ./internal/metrics
+	$(GO) test -run XXX -fuzz FuzzDVFSDecision -fuzztime $(FUZZTIME) ./internal/dvfs
 
 twincheck:
 	$(GO) run ./cmd/joint -twincheck -quick

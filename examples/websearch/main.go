@@ -30,11 +30,13 @@ func run(policyName string) {
 		log.Fatal(err)
 	}
 
+	// One model serves every core: they all run on this engine's
+	// goroutine, and the model is a deterministic cache.
+	m, err := dvfs.NewModel(base, 0.9, power.FMaxGHz)
+	if err != nil {
+		log.Fatal(err)
+	}
 	factory := func(host, core int) server.Policy {
-		m, err := dvfs.NewModel(base, 0.9, power.FMaxGHz)
-		if err != nil {
-			log.Fatal(err)
-		}
 		if policyName == "eprons" {
 			return dvfs.NewEPRONSServer(m, 0.05)
 		}

@@ -96,11 +96,14 @@ func NewSystem(cfg SystemConfig, table *ServerPowerTable) (*System, error) {
 	if err != nil {
 		return nil, err
 	}
+	// One model serves every (host, core): all of them run on this
+	// system's engine goroutine, and the model is a deterministic cache of
+	// convolution powers, so sharing it only saves rebuilding them.
+	m, err := dvfs.NewModel(base, 0.9, power.FMaxGHz)
+	if err != nil {
+		return nil, err
+	}
 	mkPolicy := func(host, coreIdx int) server.Policy {
-		m, err := dvfs.NewModel(base, 0.9, power.FMaxGHz)
-		if err != nil {
-			panic(err)
-		}
 		switch cfg.PolicyName {
 		case "", "eprons":
 			return dvfs.NewEPRONSServer(m, cfg.TargetVP)

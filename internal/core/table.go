@@ -155,18 +155,20 @@ func TrainServerPowerTable(cfg TrainConfig) (*ServerPowerTable, error) {
 }
 
 func trainCell(cfg TrainConfig, base *dist.Discrete, util, budget float64, seed int64) (float64, float64, error) {
+	// One model serves every core of the cell: the cores run on this
+	// cell's engine goroutine, and the model is a deterministic cache of
+	// convolution powers, so sharing it only saves rebuilding them. Cells
+	// run in parallel, so each builds its own.
+	m, err := dvfs.NewModel(base, cfg.Alpha, power.FMaxGHz)
+	if err != nil {
+		return 0, 0, err
+	}
 	eng := sim.New()
 	srv, err := server.New(eng, server.Config{
-		Cores:   cfg.Cores,
-		Alpha:   cfg.Alpha,
-		FMaxGHz: power.FMaxGHz,
-		PolicyFactory: func(int) server.Policy {
-			m, err := dvfs.NewModel(base, cfg.Alpha, power.FMaxGHz)
-			if err != nil {
-				panic(err)
-			}
-			return cfg.Policy(m)
-		},
+		Cores:         cfg.Cores,
+		Alpha:         cfg.Alpha,
+		FMaxGHz:       power.FMaxGHz,
+		PolicyFactory: func(int) server.Policy { return cfg.Policy(m) },
 	})
 	if err != nil {
 		return 0, 0, err

@@ -24,8 +24,27 @@ type Discrete struct {
 	P    []float64
 }
 
-// massEps is the tail mass below which trailing lattice points are trimmed.
-const massEps = 1e-12
+// MassEps is the tail mass below which trailing lattice points are trimmed,
+// and below which Remaining treats a request as finished. A trim drops at
+// most len(P)·MassEps of mass.
+const MassEps = 1e-12
+
+// LatticeIndex returns floor(x/step + 1e-9), the lattice index the CCDF
+// family rounds a work bound x down to, clamped to [-1, limit]. Callers
+// pass limit = "beyond the support", so an over-range x (+Inf, 1e300, or
+// anything past limit) maps to limit instead of overflowing the int
+// conversion. NaN compares false with every bound and maps to limit too:
+// a NaN work bound is read as lying beyond the support.
+func LatticeIndex(x, step float64, limit int) int {
+	f := math.Floor(x/step + 1e-9)
+	if !(f < float64(limit)) {
+		return limit
+	}
+	if f < -1 {
+		return -1
+	}
+	return int(f)
+}
 
 // New returns a distribution with the given step and masses. The masses are
 // normalized; an all-zero mass vector or non-positive step is rejected.
@@ -103,7 +122,7 @@ func (d *Discrete) Clone() *Discrete {
 // trim drops negligible trailing mass and renormalizes.
 func (d *Discrete) trim() {
 	n := len(d.P)
-	for n > 1 && d.P[n-1] < massEps {
+	for n > 1 && d.P[n-1] < MassEps {
 		n--
 	}
 	d.P = d.P[:n]
@@ -150,12 +169,13 @@ func (d *Discrete) Max() float64 {
 
 // CCDF returns P(X > x), the deadline violation probability when x is the
 // amount of work ω(D) that can be completed before the deadline (eq. 1).
+// A NaN or infinite x lies beyond the support: CCDF(+Inf) = CCDF(NaN) = 0.
 func (d *Discrete) CCDF(x float64) float64 {
 	if x < 0 {
 		return 1
 	}
 	// Lattice points strictly greater than x: indices > floor(x/Step + eps).
-	idx := int(math.Floor(x/d.Step + 1e-9))
+	idx := LatticeIndex(x, d.Step, len(d.P)-1)
 	if idx >= len(d.P)-1 {
 		return 0
 	}
@@ -244,12 +264,13 @@ func (d *Discrete) Shift(c float64) *Discrete {
 // Remaining returns the distribution of X - w conditioned on X > w: the
 // work left in a request that has already received w units of service.
 // If the condition has negligible probability the point mass at 0 is
-// returned (the request is essentially finished).
+// returned (the request is essentially finished); so it is for a w past the
+// support, +Inf and NaN included.
 func (d *Discrete) Remaining(w float64) *Discrete {
 	if w <= 0 {
 		return d.Clone()
 	}
-	k := int(math.Floor(w/d.Step + 1e-9))
+	k := LatticeIndex(w, d.Step, len(d.P)-1)
 	if k+1 >= len(d.P) {
 		return Point(d.Step, 0)
 	}
@@ -257,7 +278,7 @@ func (d *Discrete) Remaining(w float64) *Discrete {
 	for i := k + 1; i < len(d.P); i++ {
 		tail += d.P[i]
 	}
-	if tail < massEps {
+	if tail < MassEps {
 		return Point(d.Step, 0)
 	}
 	p := make([]float64, len(d.P)-k-1+1)
@@ -284,7 +305,7 @@ func (d *Discrete) RemainingInto(w float64, out *Discrete) *Discrete {
 		out.P = append(out.P[:0], d.P...)
 		return out
 	}
-	k := int(math.Floor(w/d.Step + 1e-9))
+	k := LatticeIndex(w, d.Step, len(d.P)-1)
 	if k+1 >= len(d.P) {
 		out.P = append(out.P[:0], 1) // point mass at 0: essentially finished
 		return out
@@ -293,7 +314,7 @@ func (d *Discrete) RemainingInto(w float64, out *Discrete) *Discrete {
 	for i := k + 1; i < len(d.P); i++ {
 		tail += d.P[i]
 	}
-	if tail < massEps {
+	if tail < MassEps {
 		out.P = append(out.P[:0], 1)
 		return out
 	}

@@ -306,3 +306,31 @@ func TestQuickScaleMean(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// An over-range work bound (+Inf, 1e300, NaN) lies beyond the support: the
+// lattice-index conversion clamps instead of overflowing into a negative
+// index, so CCDF reads 0 and a request with that much work done is
+// finished.
+func TestOverRangeWorkBound(t *testing.T) {
+	d := mustNew(t, 1e-4, []float64{0.1, 0.2, 0.3, 0.4})
+	var buf Discrete
+	for _, x := range []float64{math.Inf(1), 1e300, 1e15, math.NaN()} {
+		if got := LatticeIndex(x, d.Step, 3); got != 3 {
+			t.Errorf("LatticeIndex(%g) = %d, want the limit 3", x, got)
+		}
+		if got := d.CCDF(x); got != 0 {
+			t.Errorf("CCDF(%g) = %g, want 0", x, got)
+		}
+		for _, r := range []*Discrete{d.Remaining(x), d.RemainingInto(x, &buf)} {
+			if len(r.P) != 1 || r.P[0] != 1 {
+				t.Errorf("Remaining(%g) = %v, want the point mass at 0", x, r.P)
+			}
+		}
+	}
+	if got := LatticeIndex(math.Inf(-1), d.Step, 3); got != -1 {
+		t.Errorf("LatticeIndex(-Inf) = %d, want -1", got)
+	}
+	if d.CCDF(math.Inf(-1)) != 1 || len(d.Remaining(math.Inf(-1)).P) != len(d.P) {
+		t.Error("-Inf: CCDF must be 1 and Remaining the whole distribution")
+	}
+}

@@ -19,8 +19,19 @@
 // everything ahead of it; its VP at frequency f is the CCDF of that
 // convolution at ω(D) = (D − now)/s(f) base-seconds, where s(f) is the
 // DVFS stretch factor. Convolution powers of the base distribution are
-// precomputed once and reused (the paper's FFT-and-reuse optimization), so
-// a decision costs O(queue × |remaining-work support|).
+// precomputed once and reused (the paper's FFT-and-reuse optimization).
+//
+// A decision binary-searches the frequency grid, and each probe evaluates
+// the metric from the in-service request's remaining work read in place as
+// a scaled window of the base distribution: one table lookup for the
+// in-service request and, per queued request, one dot product over the
+// lattice points that fit before its deadline. That value carries a proven
+// absolute error band. Only a probe whose value lands inside the band
+// around the VP budget materializes the remaining work and runs the exact
+// sum; so does a single queued request whose deadline sits within rounding
+// of a lattice-index boundary. The band makes every probe's verdict, so
+// every chosen frequency, equal to the exact path's (DESIGN.md,
+// "Error-banded DVFS decisions").
 package dvfs
 
 import (
@@ -43,6 +54,9 @@ type Model struct {
 
 	selfConv []*dist.Discrete // selfConv[i] = i-fold convolution of Base; [0] unused
 	tails    [][]float64      // tails[i][j] = P(selfConv[i] > j·step)
+	above    []float64        // above[j] = P(Base ≥ j·step), len(Base.P)+1 entries
+	// band bounds |fast − exact| for one VP value (see vpBand).
+	band float64
 }
 
 // NewModel builds a model around the base distribution.
@@ -58,8 +72,27 @@ func NewModel(base *dist.Discrete, alpha, fmax float64) (*Model, error) {
 	}
 	m := &Model{Base: base, Alpha: alpha, FMax: fmax}
 	m.selfConv = []*dist.Discrete{nil, base.Clone()}
-	m.tails = [][]float64{nil, tailTable(base)}
+	// above[1:] sums exactly as tailTable(base) does, so it is Base's tail
+	// table.
+	m.above = make([]float64, len(base.P)+1)
+	for j := len(base.P) - 1; j >= 0; j-- {
+		m.above[j] = m.above[j+1] + base.P[j]
+	}
+	m.tails = [][]float64{nil, m.above[1:]}
+	m.band = vpBand(len(base.P))
 	return m, nil
+}
+
+// epsilon is the float64 unit roundoff, 2⁻⁵³.
+const epsilon = 0x1p-53
+
+// vpBand is the absolute error band of a fast VP over a base distribution
+// of n lattice points: the mass the exact prefix's trim can drop, and then
+// renormalize away, (n·MassEps each), plus the rounding of the two sums
+// and of the tail scale (a few n·ε), doubled for margin. DESIGN.md derives
+// it.
+func vpBand(n int) float64 {
+	return 2 * float64(n) * (2*dist.MassEps + 8*epsilon)
 }
 
 func tailTable(d *dist.Discrete) []float64 {
@@ -73,12 +106,12 @@ func tailTable(d *dist.Discrete) []float64 {
 }
 
 // tailAt evaluates a precomputed tail table at x (same convention as
-// dist.CCDF).
+// dist.CCDF, NaN and +Inf included: they lie beyond the support).
 func tailAt(step float64, tails []float64, x float64) float64 {
 	if x < 0 {
 		return 1
 	}
-	idx := int(math.Floor(x/step + 1e-9))
+	idx := dist.LatticeIndex(x, step, len(tails))
 	if idx >= len(tails) {
 		return 0
 	}
@@ -125,12 +158,121 @@ func (m *Model) VP(prefix *dist.Discrete, k int, omega float64) float64 {
 		if mass == 0 {
 			continue
 		}
-		p += mass * tailAt(step, tails, omega-float64(i)*step)
+		p += mass * tailAt(step, tails, termBound(omega, i, step))
 	}
 	if p > 1 {
 		p = 1
 	}
 	return p
+}
+
+// window is the in-service request's remaining-work distribution read in
+// place from Base.P: mass scale·P[off+j] at lattice point j, for j ≥ lo.
+// It stands for Base.Remaining(w) without materializing it.
+type window struct {
+	off, lo int
+	scale   float64
+}
+
+// remaining returns Base.Remaining(w) as a window, or ok=false when the
+// exact prefix is a point mass or the conditioning tail is within a few
+// MassEps of Remaining's "finished" cut-off; the exact RemainingInto then
+// serves the whole decision.
+func (m *Model) remaining(w float64) (window, bool) {
+	if w <= 0 {
+		return window{scale: 1}, true
+	}
+	n := len(m.Base.P)
+	k := dist.LatticeIndex(w, m.Base.Step, n-1)
+	if k+1 >= n || m.above[k+1] < 4*dist.MassEps {
+		return window{}, false
+	}
+	// Remaining shifts the conditioned mass by one lattice point: P[k+j]
+	// sits at j ≥ 1.
+	return window{off: k, lo: 1, scale: 1 / m.above[k+1]}, true
+}
+
+// beyond returns the window's mass strictly above lattice point j.
+func (m *Model) beyond(w window, j int) float64 {
+	i := w.off + max(j+1, w.lo)
+	if i >= len(m.above) {
+		return 0
+	}
+	return w.scale * m.above[i]
+}
+
+// fastCCDF is prefix.CCDF(omega) for the window's prefix, within band.
+func (m *Model) fastCCDF(w window, omega float64) float64 {
+	if omega < 0 {
+		return 1
+	}
+	return m.beyond(w, dist.LatticeIndex(omega, m.Base.Step, len(m.Base.P)))
+}
+
+// fastVP is VP(prefix, k, omega) for the window's prefix, within band.
+// The exact sum reads term j's bound x = ω − j·step as tail 1 when x < 0
+// and as lattice index ⌊x/step + 1e-9⌋ otherwise. With u = ω/step and
+// J = ⌊u + 1e-9⌋, that index is J − j for every term as long as u + 1e-9
+// sits more than a rounding guard away from an integer; only term J's sign
+// can then be in doubt, and it is settled with the exact sum's own
+// arithmetic. Otherwise ok is false and the caller takes the exact VP.
+func (m *Model) fastVP(w window, k int, omega float64) (vp float64, ok bool) {
+	m.ensure(k)
+	tails := m.tails[k]
+	n := len(m.Base.P)
+	step := m.Base.Step
+	u := omega / step
+	switch {
+	case !(u < float64(n+len(tails))):
+		// Every bound is past the support (NaN included, as in tailAt).
+		return 0, true
+	case u < 0:
+		// Every bound is negative.
+		return math.Min(m.beyond(w, -1), 1), true
+	}
+	v := u + 1e-9
+	J := int(v)
+	guard := 8 * epsilon * (u + float64(n) + 1)
+	if v-float64(J) < guard || float64(J+1)-v < guard {
+		return 0, false
+	}
+	last := J // the last term whose bound is non-negative
+	if d := u - float64(J); d < guard && (d <= -guard || termBound(omega, J, step) < 0) {
+		last = J - 1
+	}
+	// Terms with J−j inside the tail table and P[off+j] inside the base.
+	lo := max(w.lo, J-len(tails)+1)
+	hi := min(last, n-1-w.off)
+	dot := 0.0
+	if lo <= hi {
+		dot = dotRev(m.Base.P[w.off+lo:w.off+hi+1], tails, J-lo)
+	}
+	return math.Min(w.scale*dot+m.beyond(w, last), 1), true
+}
+
+// termBound is the work bound ω − j·step of the j-th prefix term of VP's
+// exact sum; the fast path evaluates a doubtful term with this same
+// arithmetic.
+func termBound(omega float64, j int, step float64) float64 {
+	return omega - float64(j)*step
+}
+
+// dotRev returns Σ a[i]·t[top−i] over i < len(a), summed in four
+// independent accumulators.
+func dotRev(a, t []float64, top int) float64 {
+	t = t[top-len(a)+1 : top+1]
+	var s0, s1, s2, s3 float64
+	i, r := 0, len(t)-1
+	for ; i+3 < len(a); i, r = i+4, r-4 {
+		s0 += a[i] * t[r]
+		s1 += a[i+1] * t[r-1]
+		s2 += a[i+2] * t[r-2]
+		s3 += a[i+3] * t[r-3]
+	}
+	for ; i < len(a); i, r = i+1, r-1 {
+		s0 += a[i] * t[r]
+	}
+	return (s0 + s1) + (s2 + s3)
 }
 
 // Stretch returns s(f) for the model's α and fmax.
@@ -172,11 +314,24 @@ type ModelPolicy struct {
 	saturated int64
 	// lastInfeasible mirrors the most recent decision's feasibility.
 	lastInfeasible bool
-	// scratch holds the remaining-work distribution of the in-service
-	// request between decisions. Policies are per-core and single-threaded
-	// within a simulation, and the prefix never outlives the decision, so
-	// reusing one buffer removes the two hottest allocations of the
-	// simulator (dist.RemainingInto keeps the arithmetic bit-identical).
+	// fastProbes and exactProbes count the busy-core probes decided by the
+	// error-banded fast metric and by the exact one; exactTerms counts the
+	// queued requests whose VP the fast metric took from the exact sum
+	// (introspection for tests).
+	fastProbes, exactProbes, exactTerms int64
+	// Per-decision state of a busy core: the in-service request's work
+	// done, its remaining work as a window of Base (valid when fast), and
+	// prefix, the same distribution materialized into scratch once an
+	// exact probe needs it (nil until then).
+	work   float64
+	win    window
+	fast   bool
+	prefix *dist.Discrete
+	// scratch holds the materialized remaining-work distribution between
+	// decisions. Policies are per-core and single-threaded within a
+	// simulation, and the prefix never outlives the decision, so reusing
+	// one buffer keeps the exact path allocation-free
+	// (dist.RemainingInto keeps the arithmetic bit-identical).
 	scratch dist.Discrete
 }
 
@@ -212,6 +367,16 @@ func (p *ModelPolicy) deadline(r *server.Request) float64 {
 
 // OnDecision implements server.Policy.
 func (p *ModelPolicy) OnDecision(now float64, cur *server.Request, queue []*server.Request) float64 {
+	work := 0.0
+	if cur != nil {
+		work = cur.WorkDoneBase()
+	}
+	return p.decide(now, cur, work, queue)
+}
+
+// decide is OnDecision with the in-service request's base-seconds of
+// service passed as work.
+func (p *ModelPolicy) decide(now float64, cur *server.Request, work float64, queue []*server.Request) float64 {
 	p.decisions++
 	if cur == nil && len(queue) == 0 {
 		return power.FMinGHz
@@ -231,9 +396,9 @@ func (p *ModelPolicy) OnDecision(now float64, cur *server.Request, queue []*serv
 			return 0
 		})
 	}
-	var prefix *dist.Discrete
+	p.work, p.prefix, p.fast = work, nil, false
 	if cur != nil {
-		prefix = p.m.Base.RemainingInto(cur.WorkDoneBase(), &p.scratch)
+		p.win, p.fast = p.m.remaining(work)
 	}
 
 	// VP is non-increasing in frequency: binary search the grid for the
@@ -243,7 +408,7 @@ func (p *ModelPolicy) OnDecision(now float64, cur *server.Request, queue []*serv
 	lo, hi := 0, len(p.grid)
 	for lo < hi {
 		mid := int(uint(lo+hi) >> 1)
-		if p.metric(p.grid[mid], now, cur, queue, prefix) <= p.TargetVP {
+		if p.meets(p.grid[mid], now, cur, queue) {
 			hi = mid
 		} else {
 			lo = mid + 1
@@ -267,6 +432,61 @@ func (p *ModelPolicy) SaturationCount() int64 { return p.saturated }
 
 // LastInfeasible reports whether the most recent decision was infeasible.
 func (p *ModelPolicy) LastInfeasible() bool { return p.lastInfeasible }
+
+// meets reports whether the decision metric at f is within TargetVP. On a
+// busy core the fast metric decides whenever it lies outside the error
+// band around TargetVP: the exact metric is then on the same side, so the
+// verdict is the exact one. Inside the band the exact metric decides; so
+// it does on an idle core, where it is already O(queue) table lookups.
+func (p *ModelPolicy) meets(f, now float64, cur *server.Request, queue []*server.Request) bool {
+	if cur == nil {
+		return p.metric(f, now, nil, queue, nil) <= p.TargetVP
+	}
+	if p.fast {
+		v := p.fastMetric(f, now, cur, queue)
+		// Both metrics average up to len(queue)+1 VPs, each sum rounding
+		// by at most that many ulps.
+		band := p.m.band + 4*float64(len(queue)+1)*epsilon
+		if math.Abs(v-p.TargetVP) > band {
+			p.fastProbes++
+			return v <= p.TargetVP
+		}
+	}
+	p.exactProbes++
+	return p.metric(f, now, cur, queue, p.exactPrefix()) <= p.TargetVP
+}
+
+// exactPrefix returns the in-service request's remaining-work
+// distribution, materializing it on first use within a decision.
+func (p *ModelPolicy) exactPrefix() *dist.Discrete {
+	if p.prefix == nil {
+		p.prefix = p.m.Base.RemainingInto(p.work, &p.scratch)
+	}
+	return p.prefix
+}
+
+// fastMetric is metric computed on the window p.win, within band of the
+// exact value. A queued request whose deadline has an ambiguous lattice
+// index takes the exact VP instead.
+func (p *ModelPolicy) fastMetric(f, now float64, cur *server.Request, queue []*server.Request) float64 {
+	s := p.m.Stretch(f)
+	vp := p.m.fastCCDF(p.win, (p.deadline(cur)-now)/s)
+	worst, sum := vp, vp
+	for i, r := range queue {
+		omega := (p.deadline(r) - now) / s
+		vp, ok := p.m.fastVP(p.win, i+1, omega)
+		if !ok {
+			p.exactTerms++
+			vp = p.m.VP(p.exactPrefix(), i+1, omega)
+		}
+		worst = math.Max(worst, vp)
+		sum += vp
+	}
+	if p.Agg == MaxVP {
+		return worst
+	}
+	return sum / float64(len(queue)+1)
+}
 
 // metric evaluates the decision metric (max or average VP over the queued
 // requests) at frequency f.

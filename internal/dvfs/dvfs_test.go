@@ -278,3 +278,25 @@ func TestQuickChosenFreqMeetsTarget(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// Over-range work bounds read as beyond the support in every VP form,
+// the fast ones included, instead of panicking on a negative index.
+func TestOverRangeWorkBound(t *testing.T) {
+	m := uniformModel(t)
+	prefix := m.Base.Remaining(1.5e-3)
+	w, ok := m.remaining(1.5e-3)
+	if !ok {
+		t.Fatal("window unavailable")
+	}
+	for _, x := range []float64{math.Inf(1), 1e300, 1e15, math.NaN()} {
+		for k := 1; k <= 3; k++ {
+			fast, ok := m.fastVP(w, k, x)
+			if got := []float64{m.TailCCDF(k, x), m.VP(prefix, k, x), fast}; got[0] != 0 || got[1] != 0 || got[2] != 0 || !ok {
+				t.Errorf("x=%g k=%d: TailCCDF, VP, fastVP = %v (ok %v), want 0", x, k, got, ok)
+			}
+		}
+		if got := m.fastCCDF(w, x); got != 0 {
+			t.Errorf("fastCCDF(%g) = %g, want 0", x, got)
+		}
+	}
+}

@@ -11,7 +11,6 @@ import (
 	"eprons/internal/milp"
 	"eprons/internal/netmodel"
 	"eprons/internal/parallel"
-	"eprons/internal/power"
 	"eprons/internal/rng"
 	"eprons/internal/server"
 	"eprons/internal/workload"
@@ -336,10 +335,6 @@ type AblationPolicyRow struct {
 
 // AblationAvgVsMaxVP runs the four combinations of {avg,max} × {EDF,FIFO}.
 func AblationAvgVsMaxVP(util, totalConstraint float64, cfg ServerExpConfig) ([]AblationPolicyRow, error) {
-	base, err := workload.ServiceDist(cfg.ServiceCfg)
-	if err != nil {
-		return nil, err
-	}
 	variants := []struct {
 		name string
 		agg  dvfs.Aggregate
@@ -354,11 +349,7 @@ func AblationAvgVsMaxVP(util, totalConstraint float64, cfg ServerExpConfig) ([]A
 	for _, v := range variants {
 		v := v
 		saveName := PolicyName("ablation-" + v.name)
-		point, err := runServerPointWith(saveName, util, totalConstraint, cfg, func() (server.Policy, error) {
-			m, err := dvfs.NewModel(base, cfg.Alpha, power.FMaxGHz)
-			if err != nil {
-				return nil, err
-			}
+		point, err := runServerPointWith(saveName, util, totalConstraint, cfg, func(m *dvfs.Model) (server.Policy, error) {
 			return dvfs.NewModelPolicy(v.name, m, cfg.TargetVP, v.agg, true, v.edf), nil
 		})
 		if err != nil {

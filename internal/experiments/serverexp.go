@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"sort"
 
-	"eprons/internal/dist"
 	"eprons/internal/dvfs"
 	"eprons/internal/parallel"
 	"eprons/internal/power"
@@ -69,18 +68,12 @@ func DefaultServerExpConfig() ServerExpConfig {
 	}
 }
 
-func buildPolicy(name PolicyName, base *dist.Discrete, cfg ServerExpConfig) (server.Policy, error) {
+func buildPolicy(name PolicyName, m *dvfs.Model, cfg ServerExpConfig) (server.Policy, error) {
 	switch name {
 	case PolNone:
 		return dvfs.NewMaxFreq(), nil
 	case PolTimeTrader:
 		return dvfs.NewTimeTrader(), nil
-	}
-	m, err := dvfs.NewModel(base, cfg.Alpha, power.FMaxGHz)
-	if err != nil {
-		return nil, err
-	}
-	switch name {
 	case PolRubik:
 		return dvfs.NewRubik(m, cfg.TargetVP), nil
 	case PolRubikPlus:
@@ -106,19 +99,21 @@ type ServerPoint struct {
 
 // runServerPoint simulates one server at (util, totalConstraint).
 func runServerPoint(name PolicyName, util, totalConstraint float64, cfg ServerExpConfig) (ServerPoint, error) {
-	base, err := workload.ServiceDist(cfg.ServiceCfg)
-	if err != nil {
-		return ServerPoint{}, err
-	}
-	return runServerPointWith(name, util, totalConstraint, cfg, func() (server.Policy, error) {
-		return buildPolicy(name, base, cfg)
+	return runServerPointWith(name, util, totalConstraint, cfg, func(m *dvfs.Model) (server.Policy, error) {
+		return buildPolicy(name, m, cfg)
 	})
 }
 
 // runServerPointWith runs the same experiment with a custom policy builder
-// (used by ablations).
-func runServerPointWith(name PolicyName, util, totalConstraint float64, cfg ServerExpConfig, build func() (server.Policy, error)) (ServerPoint, error) {
+// (used by ablations). build makes each core's policy around the point's
+// one model: the cores share this point's engine goroutine, and the model
+// is a deterministic cache of convolution powers.
+func runServerPointWith(name PolicyName, util, totalConstraint float64, cfg ServerExpConfig, build func(m *dvfs.Model) (server.Policy, error)) (ServerPoint, error) {
 	base, err := workload.ServiceDist(cfg.ServiceCfg)
+	if err != nil {
+		return ServerPoint{}, err
+	}
+	m, err := dvfs.NewModel(base, cfg.Alpha, power.FMaxGHz)
 	if err != nil {
 		return ServerPoint{}, err
 	}
@@ -130,7 +125,7 @@ func runServerPointWith(name PolicyName, util, totalConstraint float64, cfg Serv
 		Alpha:   cfg.Alpha,
 		FMaxGHz: power.FMaxGHz,
 		PolicyFactory: func(int) server.Policy {
-			p, err := build()
+			p, err := build(m)
 			if err != nil {
 				panic(err)
 			}

@@ -502,10 +502,7 @@ func (m *Model) vpAt(i int, lambda, budget float64) (float64, bool) {
 	//   vp = P(S > budget) + Σ_{sⱼ ≤ budget} P[j]·pw·e^{−rate·(budget−sⱼ)}
 	// — no convolution, and no re-binning error on the exponential.
 	vp := d.CCDF(budget)
-	lim := int(math.Floor(budget/d.Step + 1e-9))
-	if lim >= len(d.P) {
-		lim = len(d.P) - 1
-	}
+	lim := dist.LatticeIndex(budget, d.Step, len(d.P)-1)
 	for j := 0; j <= lim; j++ {
 		if p := d.P[j]; p > 0 {
 			vp += p * pw * math.Exp(-rate*(budget-float64(j)*d.Step))

@@ -33,6 +33,22 @@ func model(t testing.TB) *twin.Model {
 	return sharedModel
 }
 
+// An unbounded server budget is met at the lowest frequency, and a NaN
+// one is infeasible; neither may panic in the lattice-index conversion.
+func TestLookupOverRangeBudget(t *testing.T) {
+	m := model(t)
+	huge, ok := m.Lookup(0.3, 1e300)
+	if !ok {
+		t.Fatal("1e300 s budget infeasible")
+	}
+	if inf, ok := m.Lookup(0.3, math.Inf(1)); !ok || inf != huge {
+		t.Fatalf("+Inf budget: %g W (ok %v), want %g W as for 1e300 s", inf, ok, huge)
+	}
+	if _, ok := m.Lookup(0.3, math.NaN()); ok {
+		t.Fatal("NaN budget feasible")
+	}
+}
+
 func TestConfigValidation(t *testing.T) {
 	if _, err := twin.New(twin.Config{FabricK: 3}); err == nil {
 		t.Fatal("odd arity accepted")
