@@ -48,8 +48,9 @@
 #                     schedules, analytic-twin monotonicity, route-segment
 #                     intern/materialize equivalence, running-quantile
 #                     equivalence with copy+sort, error-banded DVFS
-#                     decisions equal to the exact ones); FUZZTIME=30s
-#                     lengthens each target's budget.
+#                     decisions equal to the exact ones, audit invariants
+#                     of random scenario feature combinations);
+#                     FUZZTIME=30s lengthens each target's budget.
 #   make twincheck  — validate the closed-form analytic twin against the
 #                     DES on the Fig 10 grid and the trained server table
 #                     (quick grid); fails when an in-domain cell breaks
@@ -108,6 +109,7 @@ fuzz-short:
 	$(GO) test -run XXX -fuzz FuzzRouteIntern -fuzztime $(FUZZTIME) ./internal/fattree
 	$(GO) test -run XXX -fuzz FuzzRunningQuantile -fuzztime $(FUZZTIME) ./internal/metrics
 	$(GO) test -run XXX -fuzz FuzzDVFSDecision -fuzztime $(FUZZTIME) ./internal/dvfs
+	$(GO) test -run XXX -fuzz FuzzScenario -fuzztime $(FUZZTIME) ./internal/experiments
 
 twincheck:
 	$(GO) run ./cmd/joint -twincheck -quick

@@ -104,9 +104,9 @@ func BenchmarkFig09AggregationPolicies(b *testing.B) {
 }
 
 func BenchmarkFig10AggregationLatency(b *testing.B) {
-	cfg := experiments.NetLatencyConfig{DurationS: 1.5}
+	cfg := experiments.Scenario{DurationS: 1.5}
 	for i := 0; i < b.N; i++ {
-		rows, err := experiments.Fig10AggregationLatency([]int{0, 3}, []float64{0.20}, cfg)
+		rows, err := experiments.Fig10AggregationLatency([]int{0, 3}, []float64{0.20}, cfg, 0)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -122,9 +122,9 @@ func BenchmarkFig10AggregationLatency(b *testing.B) {
 // reported tails stay within the pinned tolerance
 // (experiments.TestFig10FluidTolerance).
 func BenchmarkFig10EndToEndFluid(b *testing.B) {
-	cfg := experiments.NetLatencyConfig{DurationS: 1.5, Fluid: true}
+	cfg := experiments.Scenario{DurationS: 1.5, Fluid: true}
 	for i := 0; i < b.N; i++ {
-		rows, err := experiments.Fig10AggregationLatency([]int{0, 3}, []float64{0.20}, cfg)
+		rows, err := experiments.Fig10AggregationLatency([]int{0, 3}, []float64{0.20}, cfg, 0)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -138,9 +138,9 @@ func BenchmarkFig10EndToEndFluid(b *testing.B) {
 // scale point the fluid engine unlocks. Per-pod flow counts grow as k², so
 // without fluid folding this cell is dominated by elephant packet events.
 func BenchmarkFig10K8(b *testing.B) {
-	cfg := experiments.NetLatencyConfig{DurationS: 0.75, K: 8, Fluid: true}
+	cfg := experiments.Scenario{DurationS: 0.75, K: 8, Fluid: true}
 	for i := 0; i < b.N; i++ {
-		rows, err := experiments.Fig10AggregationLatency([]int{0, 3}, []float64{0.20}, cfg)
+		rows, err := experiments.Fig10AggregationLatency([]int{0, 3}, []float64{0.20}, cfg, 0)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -156,11 +156,11 @@ func BenchmarkFig10K8(b *testing.B) {
 // candidate paths per pair through the consolidation placer would dominate
 // the run). Query traffic itself stays packet-level.
 func BenchmarkFig10K16(b *testing.B) {
-	cfg := experiments.NetLatencyConfig{
+	cfg := experiments.Scenario{
 		DurationS: 0.2, K: 16, Fluid: true, ECMPQueries: true,
 	}
 	for i := 0; i < b.N; i++ {
-		rows, err := experiments.Fig10AggregationLatency([]int{0, 3}, []float64{0.20}, cfg)
+		rows, err := experiments.Fig10AggregationLatency([]int{0, 3}, []float64{0.20}, cfg, 0)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -177,11 +177,11 @@ func BenchmarkFig10K16(b *testing.B) {
 // so the route-plane footprint is the segments actually exercised by
 // traffic, not the pair space.
 func BenchmarkFig10K32(b *testing.B) {
-	cfg := experiments.NetLatencyConfig{
+	cfg := experiments.Scenario{
 		DurationS: 0.05, K: 32, Fluid: true, ECMPQueries: true,
 	}
 	for i := 0; i < b.N; i++ {
-		rows, err := experiments.Fig10AggregationLatency([]int{0, 3}, []float64{0.20}, cfg)
+		rows, err := experiments.Fig10AggregationLatency([]int{0, 3}, []float64{0.20}, cfg, 0)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -191,9 +191,9 @@ func BenchmarkFig10K32(b *testing.B) {
 }
 
 func BenchmarkFig11ScaleFactorTradeoff(b *testing.B) {
-	cfg := experiments.NetLatencyConfig{DurationS: 1.5}
+	cfg := experiments.Scenario{DurationS: 1.5}
 	for i := 0; i < b.N; i++ {
-		rows, err := experiments.Fig11ScaleFactor([]int{1, 4}, []float64{0.30}, cfg)
+		rows, err := experiments.Fig11ScaleFactor([]int{1, 4}, []float64{0.30}, cfg, 0)
 		if err != nil {
 			b.Fatal(err)
 		}

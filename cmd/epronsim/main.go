@@ -7,10 +7,12 @@
 // Usage:
 //
 //	epronsim [-quick] [-step 60] [-traces]
-//	epronsim -twin [-twink 74]
-//	epronsim -faults [-faultrates 0,0.5,1,2] [-faultdur 5] [-faultseed 1] [-audit] [-fluid]
-//	epronsim -overload [-overloadmults 0.5,1,2,3] [-overloaddur 2] [-surge step] [-audit] [-fluid]
+//	epronsim -faults [-faultrates 0,0.5,1,2] [-faultdur 5] [-faultseed 1] [-audit]
+//	epronsim -overload [-overloadmults 0.5,1,2,3] [-overloaddur 2] [-overloadrate 200] [-overloadwm 0] [-surge step] [-surgeresponse] [-audit]
 //	epronsim -replicas 1,3 [-selection primary,p2c,hedged] [-hedge 0] [-faultrates 0,1,2] [-audit]
+//
+// epronsim is the one command for the three robustness sweeps; each
+// builds its cells as experiments.Scenario specs.
 //
 // The -faults mode runs the availability experiment instead: seeded
 // switch crashes and link flaps against the consolidated fabric, with
@@ -32,22 +34,17 @@
 // the observed sub-query p95). -audit enables runtime invariant checks in
 // all three modes.
 //
-// The -twin mode answers closed-form what-if capacity queries on an
-// arbitrary fat-tree arity (default k=74, a 101,306-host fabric) with no
-// simulation at all — the analytic twin behind the planner's fast inner
-// loop (see `joint -twincheck` for its DES validation).
+// The sweeps run without background traffic, so they have no
+// fluid-engine variant; closed-form what-if queries live in `joint -twin`.
 package main
 
 import (
 	"flag"
 	"fmt"
 	"log"
-	"os"
-	"runtime"
-	"runtime/pprof"
 	"strconv"
-	"strings"
 
+	"eprons/internal/cli"
 	"eprons/internal/cluster"
 	"eprons/internal/experiments"
 	"eprons/internal/parallel"
@@ -74,87 +71,57 @@ func main() {
 	selectionArg := flag.String("selection", "primary", "replica selection policies to sweep: primary, p2c and/or hedged (comma separated)")
 	hedgeDelay := flag.Float64("hedge", 0, "hedged-policy duplicate delay in seconds (0 = track the observed sub-query p95)")
 	audit := flag.Bool("audit", false, "run runtime invariant checks (query conservation, offered>=carried bytes, hedge accounting, replica reachability, scheduler bookkeeping) after each cell")
-	fluid := flag.Bool("fluid", false, "hybrid fluid/packet background-traffic engine in -faults/-overload modes (order-of-magnitude fewer events; off = exact packet-level simulation)")
-	workers := flag.Int("workers", parallel.DefaultWorkers(), "concurrency for table training, the per-scheme diurnal replays and the planner's K search (<=1 runs sequentially, results are identical either way)")
-	cpuProfile := flag.String("cpuprofile", "", "write a CPU profile to this file")
-	memProfile := flag.String("memprofile", "", "write a heap profile to this file on exit")
-	twinMode := flag.Bool("twin", false, "answer closed-form what-if capacity queries on a -twink fabric and exit (no simulation, no topology graph)")
-	twinK := flag.Int("twink", 74, "fat-tree arity for -twin (74 = 101,306 hosts)")
+	workers := flag.Int("workers", parallel.DefaultWorkers(), "concurrency for table training, the per-scheme diurnal replays, the planner's K search and the sweep cells (<=1 runs sequentially, results are identical either way)")
 	csvOut := flag.Bool("csv", false, "emit tables as CSV")
+	profile := cli.Profile()
 	flag.Parse()
+	defer profile()()
 
-	if *cpuProfile != "" {
-		f, err := os.Create(*cpuProfile)
-		if err != nil {
-			log.Fatal(err)
-		}
-		defer f.Close()
-		if err := pprof.StartCPUProfile(f); err != nil {
-			log.Fatal(err)
-		}
-		defer pprof.StopCPUProfile()
-	}
-	if *memProfile != "" {
-		defer func() {
-			f, err := os.Create(*memProfile)
-			if err != nil {
-				log.Fatal(err)
-			}
-			defer f.Close()
-			runtime.GC()
-			if err := pprof.WriteHeapProfile(f); err != nil {
-				log.Fatal(err)
-			}
-		}()
-	}
-
-	if *twinMode {
-		t, _, err := experiments.TwinCapacityTable(*twinK, []float64{0.01, 0.20, 0.50}, 0.30)
-		if err != nil {
-			log.Fatal(err)
-		}
-		fmt.Print(experiments.Render(t, *csvOut))
-		fmt.Println("\nrows marked CLAMPED are outside the validated domain; see `joint -twincheck`")
-		fmt.Println("for the DES validation and the pinned in-domain error bands.")
-		return
-	}
-
-	if *replicasArg != "" {
-		err := runReplicas(*replicasArg, *selectionArg, *faultRates, *faultDur, *hedgeDelay,
-			*faultSeed, *workers, *audit, *csvOut)
-		if err != nil {
-			log.Fatal(err)
-		}
-		return
-	}
-
-	if *faultsMode {
-		if err := runFaults(*faultRates, *faultDur, *faultSeed, *workers, *audit, *fluid, *csvOut); err != nil {
-			log.Fatal(err)
-		}
-		return
-	}
-
-	if *overloadMode {
-		err := runOverload(*overloadMults, *overloadDur, *overloadRate, *overloadSeed,
-			*surgeShape, *surgeResponse, *overloadWM, *workers, *audit, *fluid, *csvOut)
-		if err != nil {
-			log.Fatal(err)
-		}
-		return
-	}
-
-	if *tracesOnly {
+	var t *experiments.Table
+	switch {
+	case *replicasArg != "":
+		t = experiments.ReplicaTable(cli.Must(experiments.ReplicaSweep(
+			cli.Must(cli.List(*replicasArg, strconv.Atoi)),
+			cli.Must(cli.List(*selectionArg, cluster.ParseSelection)),
+			cli.Must(cli.List(*faultRates, cli.Float)),
+			experiments.Scenario{
+				DurationS:   *faultDur,
+				Replication: &experiments.Replication{HedgeDelayS: *hedgeDelay},
+				Audit:       *audit,
+				Seed:        *faultSeed,
+			}, *workers)))
+	case *faultsMode:
+		t = experiments.AvailabilityTable(cli.Must(experiments.AvailabilitySweep(
+			cli.Must(cli.List(*faultRates, cli.Float)),
+			experiments.Scenario{DurationS: *faultDur, Audit: *audit, Seed: *faultSeed}, *workers)))
+	case *overloadMode:
+		t = experiments.OverloadTable(cli.Must(experiments.OverloadSweep(
+			cli.Must(cli.List(*overloadMults, cli.Float)),
+			cli.Must(workload.ParseSurgeProfile(*surgeShape)),
+			experiments.Scenario{
+				DurationS: *overloadDur,
+				QueryRate: *overloadRate,
+				Admission: &experiments.Admission{HighWM: *overloadWM, SurgeResponse: *surgeResponse},
+				Audit:     *audit,
+				Seed:      *overloadSeed,
+			}, *workers)))
+	case *tracesOnly:
 		printTraces(*csvOut)
 		return
+	default:
+		fig15(*quick, *step, *workers, *csvOut)
+		return
 	}
+	fmt.Print(experiments.Render(t, *csvOut))
+}
 
+func fig15(quick bool, step float64, workers int, csv bool) {
 	fmt.Println("training server power tables (EPRONS, TimeTrader, MaxFreq)…")
-	eprons, tt, mf, err := experiments.TrainTablesWorkers(*quick, *workers)
+	eprons, tt, mf, err := experiments.TrainTablesWorkers(quick, workers)
 	if err != nil {
 		log.Fatal(err)
 	}
-	sum, err := experiments.Fig15DiurnalWorkers(eprons, tt, mf, *step, *workers)
+	sum, err := experiments.Fig15DiurnalWorkers(eprons, tt, mf, step, workers)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -164,7 +131,7 @@ func main() {
 		Title:   "Fig 15(a) — total system power over 24 h (hourly rows; simulation at the chosen step)",
 		Headers: []string{"hour", "search load", "background", "EPRONS (W)", "TimeTrader (W)", "no PM (W)", "EPRONS net (W)"},
 	}
-	perHour := int(3600 / *step)
+	perHour := int(3600 / step)
 	if perHour < 1 {
 		perHour = 1
 	}
@@ -179,7 +146,7 @@ func main() {
 			experiments.W(res.EPRONS.NetW.V[i]),
 		)
 	}
-	fmt.Print(experiments.Render(t, *csvOut))
+	fmt.Print(experiments.Render(t, csv))
 
 	fmt.Println("\nFig 15(b) — savings vs no power management:")
 	fmt.Printf("  EPRONS:     total avg %s, total peak %s, server avg %s, network avg %s\n",
@@ -189,115 +156,6 @@ func main() {
 		experiments.Pct(sum.TTAvgSaving), experiments.Pct(sum.TTPeakSaving),
 		experiments.Pct(sum.ServerAvgTT))
 	fmt.Printf("\npaper reference: EPRONS 25%% avg / 31.25%% peak; TimeTrader 8%% avg / 12.5%% peak\n")
-}
-
-func runFaults(ratesArg string, dur float64, seed int64, workers int, audit, fluid, csv bool) error {
-	rates, err := parseFloatList(ratesArg)
-	if err != nil {
-		return err
-	}
-	rows, err := experiments.AvailabilitySweep(rates, experiments.AvailabilityConfig{
-		DurationS: dur,
-		Seed:      seed,
-		Workers:   workers,
-		Audit:     audit,
-		Fluid:     fluid,
-	})
-	if err != nil {
-		return err
-	}
-	fmt.Print(experiments.Render(experiments.AvailabilityTable(rows), csv))
-	return nil
-}
-
-func runOverload(multsArg string, dur, rate float64, seed int64, shape string, surgeResponse bool, highWM, workers int, audit, fluid, csv bool) error {
-	mults, err := parseFloatList(multsArg)
-	if err != nil {
-		return err
-	}
-	profile, err := workload.ParseSurgeProfile(shape)
-	if err != nil {
-		return err
-	}
-	rows, err := experiments.OverloadSweep(mults, experiments.OverloadConfig{
-		DurationS:     dur,
-		BaseRate:      rate,
-		Profile:       profile,
-		SurgeResponse: surgeResponse,
-		HighWM:        highWM,
-		Audit:         audit,
-		Fluid:         fluid,
-		Seed:          seed,
-		Workers:       workers,
-	})
-	if err != nil {
-		return err
-	}
-	fmt.Print(experiments.Render(experiments.OverloadTable(rows), csv))
-	return nil
-}
-
-func runReplicas(replicasArg, selectionArg, ratesArg string, dur, hedge float64, seed int64, workers int, audit, csv bool) error {
-	replicas, err := parseIntList(replicasArg)
-	if err != nil {
-		return err
-	}
-	selections, err := parseSelectionList(selectionArg)
-	if err != nil {
-		return err
-	}
-	rates, err := parseFloatList(ratesArg)
-	if err != nil {
-		return err
-	}
-	rows, err := experiments.ReplicaSweep(replicas, selections, rates, experiments.ReplicaConfig{
-		DurationS:   dur,
-		HedgeDelayS: hedge,
-		Seed:        seed,
-		Workers:     workers,
-		Audit:       audit,
-	})
-	if err != nil {
-		return err
-	}
-	fmt.Print(experiments.Render(experiments.ReplicaTable(rows), csv))
-	return nil
-}
-
-func parseIntList(s string) ([]int, error) {
-	var out []int
-	for _, part := range strings.Split(s, ",") {
-		v, err := strconv.Atoi(strings.TrimSpace(part))
-		if err != nil {
-			return nil, err
-		}
-		out = append(out, v)
-	}
-	return out, nil
-}
-
-func parseSelectionList(s string) ([]cluster.SelectionPolicy, error) {
-	var out []cluster.SelectionPolicy
-	for _, part := range strings.Split(s, ",") {
-		sel, err := cluster.ParseSelection(strings.TrimSpace(part))
-		if err != nil {
-			return nil, err
-		}
-		out = append(out, sel)
-	}
-	return out, nil
-}
-
-func parseFloatList(s string) ([]float64, error) {
-	var out []float64
-	for _, part := range strings.Split(s, ",") {
-		v, err := strconv.ParseFloat(strings.TrimSpace(part), 64)
-		if err != nil {
-			return nil, err
-		}
-		out = append(out, v)
-	}
-	return out, nil
 }
 
 func printTraces(csv bool) {

@@ -27,13 +27,13 @@ func main() {
 	kArity := flag.Int("k", 4, "fat-tree arity (8 for the large-fabric sweep; background flows grow as k^2)")
 	fluid := flag.Bool("fluid", false, "hybrid fluid/packet background engine: fold uncongested background elephants into analytic link reservations (order-of-magnitude fewer events; off = bit-identical packet-level simulation)")
 	flag.Parse()
-	cfg := experiments.NetLatencyConfig{DurationS: *duration, QueryRate: *rate, Seed: *seed, Workers: *workers, K: *kArity, Fluid: *fluid}
+	cfg := experiments.Scenario{DurationS: *duration, QueryRate: *rate, Seed: *seed, K: *kArity, Fluid: *fluid}
 
 	if *fig == "10" || *fig == "all" {
 		rows, err := experiments.Fig10AggregationLatency(
 			[]int{0, 1, 2, 3},
 			[]float64{0.05, 0.10, 0.20, 0.30},
-			cfg)
+			cfg, *workers)
 		if err != nil {
 			log.Fatal(err)
 		}
@@ -53,7 +53,7 @@ func main() {
 		rows, err := experiments.Fig11ScaleFactor(
 			[]int{1, 2, 3, 4, 5, 6},
 			[]float64{0.05, 0.10, 0.20, 0.30},
-			cfg)
+			cfg, *workers)
 		if err != nil {
 			log.Fatal(err)
 		}

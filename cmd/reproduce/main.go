@@ -119,8 +119,8 @@ func main() {
 
 	// Fig 10.
 	fmt.Println("Fig 10: aggregation latency (packet simulation)")
-	cfgNet := experiments.NetLatencyConfig{DurationS: dur, Workers: *workers, Fluid: *fluid}
-	rows10, err := experiments.Fig10AggregationLatency([]int{0, 1, 2, 3}, []float64{0.05, 0.20, 0.30}, cfgNet)
+	cfgNet := experiments.Scenario{DurationS: dur, Fluid: *fluid}
+	rows10, err := experiments.Fig10AggregationLatency([]int{0, 1, 2, 3}, []float64{0.05, 0.20, 0.30}, cfgNet, *workers)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -142,7 +142,7 @@ func main() {
 
 	// Fig 11.
 	fmt.Println("Fig 11: scale factor trade-off (packet simulation)")
-	rows11, err := experiments.Fig11ScaleFactor([]int{1, 2, 3, 4}, []float64{0.20, 0.30}, cfgNet)
+	rows11, err := experiments.Fig11ScaleFactor([]int{1, 2, 3, 4}, []float64{0.20, 0.30}, cfgNet, *workers)
 	if err != nil {
 		log.Fatal(err)
 	}

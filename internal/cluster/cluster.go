@@ -375,8 +375,14 @@ func (c *Cluster) PairFlows(demandBps float64) []flow.Flow {
 // each query sends one sub-query i→j and one reply j→i for every pair in
 // which i is the aggregator (probability 1/len(hosts)).
 func (c *Cluster) QueryDemandBps(queriesPerSec float64) float64 {
-	perPair := queriesPerSec / float64(len(c.hosts))
-	return perPair * float64(c.Cfg.SubQueryBytes+c.Cfg.ReplyBytes) * 8
+	return c.Cfg.PairDemandBps(queriesPerSec, len(c.hosts))
+}
+
+// PairDemandBps is QueryDemandBps for a cluster of hosts hosts built from
+// this config, without building it.
+func (c Config) PairDemandBps(queriesPerSec float64, hosts int) float64 {
+	perPair := queriesPerSec / float64(hosts)
+	return perPair * float64(c.SubQueryBytes+c.ReplyBytes) * 8
 }
 
 // InstallShortestRoutes installs shortest active paths for every ordered

@@ -12,11 +12,10 @@ func TestAvailabilitySweepNoOrphans(t *testing.T) {
 	if testing.Short() {
 		t.Skip("packet-level sweep")
 	}
-	rows, err := AvailabilitySweep([]float64{0, 2}, AvailabilityConfig{
+	rows, err := AvailabilitySweep([]float64{0, 2}, Scenario{
 		DurationS: 1.5,
 		Seed:      7,
-		Workers:   2,
-	})
+	}, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -51,15 +50,13 @@ func TestAvailabilitySweepWorkerInvariance(t *testing.T) {
 	if testing.Short() {
 		t.Skip("packet-level sweep")
 	}
-	cfg := AvailabilityConfig{DurationS: 1, Seed: 3}
+	cfg := Scenario{DurationS: 1, Seed: 3}
 	rates := []float64{0.5, 2}
-	cfg.Workers = 1
-	seq, err := AvailabilitySweep(rates, cfg)
+	seq, err := AvailabilitySweep(rates, cfg, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	cfg.Workers = 3
-	par, err := AvailabilitySweep(rates, cfg)
+	par, err := AvailabilitySweep(rates, cfg, 3)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,13 +1,13 @@
 package experiments
 
-// Shared recovery-knob defaults for the fault/overload/replica sweeps.
+// Recovery-knob defaults of Scenario.SubQueryTimeout and RetryBudget.
 //
-// Sweep configs are plain structs, so a zero field cannot distinguish
-// "caller left it unset" from "caller explicitly wants zero". Historically
-// the fill() methods coerced `<= 0` to the default, which made an explicit
-// zero (retries off, timer disarmed) unexpressible — and the availability
-// and overload sweeps disagreed on the retry default (8 vs 4). Every sweep
-// now resolves these knobs through one rule:
+// Scenario is a plain struct, so a zero field cannot distinguish "caller
+// left it unset" from "caller explicitly wants zero". Historically the
+// sweep configs coerced `<= 0` to the default, which made an explicit zero
+// (retries off, timer disarmed) unexpressible — and the availability and
+// overload sweeps disagreed on the retry default (8 vs 4). Run resolves
+// both knobs through one rule:
 //
 //	v == 0       → the documented default below
 //	v == Disabled (any negative) → explicitly off (0 passed to the cluster)
@@ -32,23 +32,12 @@ const (
 	Disabled = -1
 )
 
-// resolveRetryBudget maps the RetryBudget knob to the cluster config value.
-func resolveRetryBudget(v int) int {
+// resolve maps a recovery knob to the cluster config value by the rule
+// above.
+func resolve[T int | float64](v, def T) T {
 	switch {
 	case v == 0:
-		return DefaultRetryBudget
-	case v < 0:
-		return 0
-	}
-	return v
-}
-
-// resolveSubQueryTimeout maps the SubQueryTimeout knob to the cluster
-// config value.
-func resolveSubQueryTimeout(v float64) float64 {
-	switch {
-	case v == 0:
-		return DefaultSubQueryTimeoutS
+		return def
 	case v < 0:
 		return 0
 	}

@@ -13,8 +13,8 @@ import (
 
 func TestFig11WorkerCountInvariance(t *testing.T) {
 	run := func(workers int) []Fig11Row {
-		cfg := NetLatencyConfig{DurationS: 0.5, QueryRate: 40, Seed: 1, Workers: workers}
-		rows, err := Fig11ScaleFactor([]int{1, 2, 3}, []float64{0.05, 0.20}, cfg)
+		cfg := Scenario{DurationS: 0.5, QueryRate: 40, Seed: 1}
+		rows, err := Fig11ScaleFactor([]int{1, 2, 3}, []float64{0.05, 0.20}, cfg, workers)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -31,8 +31,8 @@ func TestFig11WorkerCountInvariance(t *testing.T) {
 // references them, and the rendered rows must still match byte for byte.
 func TestFig10ECMPWorkerCountInvariance(t *testing.T) {
 	run := func(workers int) string {
-		cfg := NetLatencyConfig{DurationS: 0.4, K: 4, ECMPQueries: true, Workers: workers}
-		rows, err := Fig10AggregationLatency([]int{0, 3}, []float64{0.10, 0.30}, cfg)
+		cfg := Scenario{DurationS: 0.4, K: 4, ECMPQueries: true}
+		rows, err := Fig10AggregationLatency([]int{0, 3}, []float64{0.10, 0.30}, cfg, workers)
 		if err != nil {
 			t.Fatal(err)
 		}

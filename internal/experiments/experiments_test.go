@@ -112,7 +112,7 @@ func TestFig10Shape(t *testing.T) {
 	if testing.Short() {
 		t.Skip("simulation")
 	}
-	rows, err := Fig10AggregationLatency([]int{0, 3}, []float64{0.25}, NetLatencyConfig{DurationS: 2})
+	rows, err := Fig10AggregationLatency([]int{0, 3}, []float64{0.25}, Scenario{DurationS: 2}, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -129,7 +129,7 @@ func TestFig11Shape(t *testing.T) {
 	if testing.Short() {
 		t.Skip("simulation")
 	}
-	rows, err := Fig11ScaleFactor([]int{1, 4}, []float64{0.30}, NetLatencyConfig{DurationS: 2})
+	rows, err := Fig11ScaleFactor([]int{1, 4}, []float64{0.30}, Scenario{DurationS: 2}, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -312,7 +312,7 @@ func TestTrainNetTableFeedsPlanner(t *testing.T) {
 	if testing.Short() {
 		t.Skip("simulation")
 	}
-	tr, err := TrainNetTable([]int{1, 3}, []float64{0.10, 0.30}, NetLatencyConfig{DurationS: 1.5})
+	tr, err := TrainNetTable([]int{1, 3}, []float64{0.10, 0.30}, Scenario{DurationS: 1.5}, 0)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -66,8 +66,8 @@ func TrainTablesWorkers(quick bool, workers int) (eprons, timetrader, maxfreq *c
 // training ("we use a portion of the application queries to train our
 // model"). Assign the result to Planner.TrainedNet to plan from measured
 // rather than analytic latencies.
-func TrainNetTable(ks []int, bgUtils []float64, cfg NetLatencyConfig) (*netmodel.Trained, error) {
-	rows, err := Fig11ScaleFactor(ks, bgUtils, cfg)
+func TrainNetTable(ks []int, bgUtils []float64, base Scenario, workers int) (*netmodel.Trained, error) {
+	rows, err := Fig11ScaleFactor(ks, bgUtils, base, workers)
 	if err != nil {
 		return nil, err
 	}

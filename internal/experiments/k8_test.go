@@ -17,8 +17,8 @@ func TestFig10K8Fluid(t *testing.T) {
 	if testing.Short() {
 		t.Skip("simulation")
 	}
-	cfg := NetLatencyConfig{DurationS: 0.75, K: 8, Fluid: true}
-	rows, err := Fig10AggregationLatency([]int{3}, []float64{0.05, 0.45}, cfg)
+	cfg := Scenario{DurationS: 0.75, K: 8, Fluid: true}
+	rows, err := Fig10AggregationLatency([]int{3}, []float64{0.05, 0.45}, cfg, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -52,14 +52,14 @@ func TestFig10FluidTolerance(t *testing.T) {
 	if testing.Short() {
 		t.Skip("simulation")
 	}
-	base := NetLatencyConfig{DurationS: 1.5}
-	rowsP, err := Fig10AggregationLatency([]int{0, 3}, []float64{0.20}, base)
+	base := Scenario{DurationS: 1.5}
+	rowsP, err := Fig10AggregationLatency([]int{0, 3}, []float64{0.20}, base, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
 	fl := base
 	fl.Fluid = true
-	rowsF, err := Fig10AggregationLatency([]int{0, 3}, []float64{0.20}, fl)
+	rowsF, err := Fig10AggregationLatency([]int{0, 3}, []float64{0.20}, fl, 0)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -4,20 +4,14 @@ import (
 	"errors"
 	"fmt"
 
-	"eprons/internal/cluster"
 	"eprons/internal/consolidate"
-	"eprons/internal/dvfs"
 	"eprons/internal/fattree"
 	"eprons/internal/flow"
 	"eprons/internal/metrics"
-	"eprons/internal/netsim"
 	"eprons/internal/parallel"
 	"eprons/internal/power"
 	"eprons/internal/rng"
-	"eprons/internal/server"
-	"eprons/internal/sim"
 	"eprons/internal/topology"
-	"eprons/internal/workload"
 )
 
 // KneePoint is one Fig 1 measurement.
@@ -45,8 +39,7 @@ func Fig01Knee(utils []float64, durationS float64, seed int64) ([]KneePoint, err
 		if _, err := g.AddLink(sw, h1, 1e9, 0); err != nil {
 			return nil, err
 		}
-		eng := sim.New()
-		net := netsim.New(eng, g, netsim.DefaultConfig())
+		eng, net := newNetwork(g, false)
 		path := topology.Path{h0, sw, h1}
 		if err := net.SetRoute(1, path); err != nil {
 			return nil, err
@@ -172,66 +165,6 @@ func Fig09Policies() ([]Fig09Row, error) {
 	return out, nil
 }
 
-// NetLatencyConfig drives the Fig 10 / Fig 11 network experiments.
-type NetLatencyConfig struct {
-	// DurationS of packet simulation per configuration (default 3).
-	DurationS float64
-	// QueryRate in queries/s (default 40).
-	QueryRate float64
-	// QueryReserveBps is the per-pair bandwidth reservation used when
-	// placing query flows (default 10 Mbps). Search traffic is bursty:
-	// the paper reserves the 90th-percentile rate, far above the mean, so
-	// the scale factor K has leverage even though the average query
-	// demand is small (the 20 Mbps flows of Fig 2).
-	QueryReserveBps float64
-	Seed            int64
-	// Workers bounds sweep concurrency: each (policy, background) or
-	// (K, background) cell is an independent packet simulation with
-	// per-cell derived rng streams, so results are identical for every
-	// worker count. <= 1 runs the historical sequential loop.
-	Workers int
-	// K is the fat-tree arity (default 4, the paper's testbed). k=8 is
-	// the scale point the hybrid fluid engine unlocks: per-pod all-to-all
-	// background flow counts grow as k², so the packet-level event load
-	// explodes exactly where fluid folding pays most.
-	K int
-	// Fluid enables netsim's hybrid fluid/packet background engine
-	// (Config.FluidBackground): uncongested background elephants become
-	// analytic link reservations instead of packet events. Off by
-	// default — figure series are bit-identical to the packet-only
-	// simulator with it off, and within the pinned statistical
-	// tolerance (TestFig10FluidTolerance) with it on.
-	Fluid bool
-	// ECMPQueries routes query-pair traffic directly over deterministic
-	// hash-selected ECMP shortest paths restricted to the active set,
-	// instead of handing one flow per ordered host pair to the
-	// consolidation placer. Pair routes resolve on demand at first use
-	// (netsim.SetRouteResolver), so only pairs that actually exchange
-	// traffic ever cost a route — which is what makes k ≥ 16 fabrics
-	// (≥ 1M host pairs) runnable; background flows are still placed by
-	// the consolidator. Off by default: the figure experiments keep the
-	// paper's reservation-aware placement.
-	ECMPQueries bool
-}
-
-func (c *NetLatencyConfig) fill() {
-	if c.DurationS <= 0 {
-		c.DurationS = 3
-	}
-	if c.K == 0 {
-		c.K = fattree.DefaultConfig().K
-	}
-	if c.QueryRate <= 0 {
-		c.QueryRate = 40
-	}
-	if c.QueryReserveBps <= 0 {
-		c.QueryReserveBps = 10e6
-	}
-	if c.Seed == 0 {
-		c.Seed = 1
-	}
-}
-
 // ecmpPath returns the deterministic hash-probed active ECMP shortest
 // path for ordered host pair (i, j), built into buf's backing (pass the
 // returned path back as buf to probe the next pair without allocating).
@@ -325,110 +258,52 @@ func ecmpResolver(ft *fattree.FatTree, active *topology.ActiveSet, unrouted *int
 	}
 }
 
-// measureNetwork runs the search cluster over a given active set with
-// all-to-all pod background flows at bgUtil, returning request network
-// latency statistics.
-func measureNetwork(active *topology.ActiveSet, ft *fattree.FatTree, bgUtil float64, cfg NetLatencyConfig, balance bool, scaleK float64) (*cluster.Stats, int, error) {
-	eng := sim.New()
-	ncfg := netsim.DefaultConfig()
-	ncfg.FluidBackground = cfg.Fluid
-	net := netsim.New(eng, ft.Graph, ncfg)
-	d, err := workload.ServiceDist(workload.DefaultServiceConfig())
-	if err != nil {
-		return nil, 0, err
+// netDefaults fills the base scenario of the Fig 10/11 grids: 3 s of 40
+// queries/s with seed 1 in every cell, a 2-core MaxFreq cluster with no
+// recovery machinery, and the per-pair reservation floor reserveBps when
+// unset.
+func netDefaults(s Scenario, reserveBps float64) Scenario {
+	s = sweepDefaults(s, "bg", 3, 40)
+	if s.ReserveBps <= 0 {
+		s.ReserveBps = reserveBps
 	}
-	clCfg := cluster.DefaultConfig(d, func(host, core int) server.Policy { return dvfs.NewMaxFreq() })
-	clCfg.CoresPerServer = 2
-	cl, err := cluster.New(net, ft.Hosts, clCfg)
-	if err != nil {
-		return nil, 0, err
+	if s.SubQueryTimeout == 0 {
+		s.SubQueryTimeout = Disabled
 	}
+	if s.RetryBudget == 0 {
+		s.RetryBudget = Disabled
+	}
+	return s
+}
 
-	bgFlows := podPairElephants(ft, bgUtil)
-	// Query pair flows participate in placement so consolidation sees
-	// them (Fig 11's K applies to them). The reservation is the bursty
-	// 90th-percentile demand, not the mean.
-	reserve := cl.QueryDemandBps(cfg.QueryRate)
-	if reserve < cfg.QueryReserveBps {
-		reserve = cfg.QueryReserveBps
-	}
-	all := bgFlows
-	if !cfg.ECMPQueries {
-		all = append(cl.PairFlows(reserve), bgFlows...)
-	}
-
-	ccfg := consolidate.Config{ScaleK: scaleK, SafetyMarginBps: 50e6, Restrict: active}
-	var placed *consolidate.Result
-	if balance {
-		placed, err = consolidate.Balance(ft, all, ccfg)
-	} else {
-		placed, err = consolidate.Greedy(ft, all, ccfg)
-	}
-	if err != nil {
-		return nil, 0, err
-	}
-	if !placed.Feasible {
-		return nil, 0, fmt.Errorf("%w (%d unplaced)", ErrInfeasible, len(placed.Unplaced))
-	}
-	if active == nil {
-		active = placed.Active
-	}
-	net.SetActive(active)
-	if err := net.InstallRoutes(placed.Paths); err != nil {
-		return nil, 0, err
-	}
-	unrouted := 0
-	if cfg.ECMPQueries {
-		if err := net.SetRouteResolver(ecmpResolver(ft, active, &unrouted)); err != nil {
-			return nil, 0, err
-		}
-	}
-
-	var bgs []*netsim.Background
-	for i, f := range bgFlows {
-		f := f
-		bgs = append(bgs, net.StartBackground(f.ID, func() float64 { return f.DemandBps },
-			rng.Derive(cfg.Seed, fmt.Sprintf("bg-%d", i))))
-	}
-	sampler := workload.NewSampler(d, cfg.Seed+5)
-	stop := cl.StartPoisson(func() float64 { return cfg.QueryRate }, sampler.Draw, cfg.Seed+11)
-	eng.Run(cfg.DurationS)
-	stop()
-	for _, b := range bgs {
-		b.Stop()
-	}
-	eng.Run(cfg.DurationS + 0.5)
-	if unrouted > 0 {
-		return nil, 0, fmt.Errorf("%w: %d query messages found no active ECMP path", ErrInfeasible, unrouted)
-	}
-	return cl.Stats(), placed.Active.ActiveSwitches(), nil
+// aggregationPolicy fixes a cell's active set to a Fig 9 aggregation level.
+func aggregationPolicy(level int) func(*fattree.FatTree) *topology.ActiveSet {
+	return func(ft *fattree.FatTree) *topology.ActiveSet { return ft.AggregationPolicy(level) }
 }
 
 // Fig10AggregationLatency sweeps aggregation level × background traffic
-// and reports query network latency (the Fig 10(a)/(b) series).
-func Fig10AggregationLatency(levels []int, bgUtils []float64, cfg NetLatencyConfig) ([]Fig10Row, error) {
-	// Fixed-policy routing places by mean query demand: the burst
-	// reservation is the scale-factor experiment's concern (Fig 11) and
-	// would make deep aggregation artificially infeasible here.
-	if cfg.QueryReserveBps == 0 {
-		cfg.QueryReserveBps = 1
-	}
-	cfg.fill()
-	ftCfg := fattree.DefaultConfig()
-	ftCfg.K = cfg.K
-	ft, err := fattree.New(ftCfg)
-	if err != nil {
-		return nil, err
-	}
+// and reports query network latency (the Fig 10(a)/(b) series). base
+// supplies the fabric, traffic and routing (netDefaults); every cell
+// fixes its active set to the aggregation policy and places by mean query
+// demand (ReserveBps 1): the burst reservation is the scale-factor
+// experiment's concern (Fig 11) and would make deep aggregation
+// artificially infeasible here. Cells fan out over workers goroutines
+// (<= 1 runs sequentially); rows are identical for every worker count.
+func Fig10AggregationLatency(levels []int, bgUtils []float64, base Scenario, workers int) ([]Fig10Row, error) {
+	base = netDefaults(base, 1)
 	// Each (level, background) cell is an independent simulation with its
 	// own engine and seed-derived streams: fan out and keep row order.
 	nb := len(bgUtils)
-	return parallel.Map(len(levels)*nb, cfg.Workers, func(i int) (Fig10Row, error) {
+	return parallel.Map(len(levels)*nb, workers, func(i int) (Fig10Row, error) {
 		level, bg := levels[i/nb], bgUtils[i%nb]
-		st, _, err := measureNetwork(ft.AggregationPolicy(level), ft, bg, cfg, true, 1)
+		s := base
+		s.BgUtil = bg
+		s.Active = aggregationPolicy(level)
+		r, err := Run(s)
 		if err != nil {
 			return Fig10Row{}, fmt.Errorf("level %d bg %.2f: %w", level, bg, err)
 		}
+		st := r.Stats
 		return Fig10Row{
 			Level:  level,
 			BgUtil: bg,
@@ -450,21 +325,22 @@ type Fig11Row struct {
 
 // Fig11ScaleFactor sweeps the scale factor K under consolidation (no fixed
 // policy): larger K activates more switches and lowers tail latency — the
-// Fig 11(a)/(b)/(c) trade-off.
-func Fig11ScaleFactor(ks []int, bgUtils []float64, cfg NetLatencyConfig) ([]Fig11Row, error) {
-	cfg.fill()
-	ftCfg := fattree.DefaultConfig()
-	ftCfg.K = cfg.K
-	ft, err := fattree.New(ftCfg)
-	if err != nil {
-		return nil, err
-	}
+// Fig 11(a)/(b)/(c) trade-off. base is as for Fig10AggregationLatency,
+// except the query pairs reserve 10 Mbps each unless base.ReserveBps
+// says otherwise: search traffic is bursty and the paper reserves the
+// 90th-percentile rate, far above the mean, so K has leverage even though
+// the average query demand is small (the 20 Mbps flows of Fig 2).
+func Fig11ScaleFactor(ks []int, bgUtils []float64, base Scenario, workers int) ([]Fig11Row, error) {
+	base = netDefaults(base, 10e6)
 	// Row order is (background outer, K inner), matching the sequential
 	// loop; every cell is an independent simulation.
 	nk := len(ks)
-	return parallel.Map(len(bgUtils)*nk, cfg.Workers, func(i int) (Fig11Row, error) {
+	return parallel.Map(len(bgUtils)*nk, workers, func(i int) (Fig11Row, error) {
 		bg, k := bgUtils[i/nk], ks[i%nk]
-		st, switches, err := measureNetwork(nil, ft, bg, cfg, false, float64(k))
+		s := base
+		s.BgUtil = bg
+		s.ScaleK = float64(k)
+		r, err := Run(s)
 		if errors.Is(err, ErrInfeasible) {
 			return Fig11Row{K: k, BgUtil: bg}, nil
 		}
@@ -474,8 +350,8 @@ func Fig11ScaleFactor(ks []int, bgUtils []float64, cfg NetLatencyConfig) ([]Fig1
 		return Fig11Row{
 			K:              k,
 			BgUtil:         bg,
-			P95S:           st.NetReqLat.Quantile(0.95),
-			ActiveSwitches: switches,
+			P95S:           r.Stats.NetReqLat.Quantile(0.95),
+			ActiveSwitches: r.ActiveSwitches,
 			Feasible:       true,
 		}, nil
 	})

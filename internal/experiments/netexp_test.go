@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"eprons/internal/fattree"
+	"eprons/internal/topology"
 )
 
 // Pod-pair elephants must never take a flow ID from the query-pair space
@@ -45,7 +46,6 @@ func TestECMPUnroutablePairInfeasible(t *testing.T) {
 	// Host 0 carries no pod-pair elephant, so cutting its access link
 	// leaves background placement feasible while every query pair
 	// touching host 0 loses its route.
-	active := ft.AggregationPolicy(0).Clone()
 	for _, f := range podPairElephants(ft, 0.1) {
 		if f.Src == ft.Hosts[0] || f.Dst == ft.Hosts[0] {
 			t.Fatal("host 0 carries an elephant; pick another host")
@@ -55,15 +55,19 @@ func TestECMPUnroutablePairInfeasible(t *testing.T) {
 	if !ok {
 		t.Fatal("no access link for host 0")
 	}
-	active.SetLink(lid, false)
-	cfg := NetLatencyConfig{DurationS: 0.2, ECMPQueries: true}
-	cfg.fill()
-	_, _, err = measureNetwork(active, ft, 0.1, cfg, true, 1)
+	s := netDefaults(Scenario{DurationS: 0.2, ECMPQueries: true, BgUtil: 0.1}, 10e6)
+	s.Active = func(ft *fattree.FatTree) *topology.ActiveSet {
+		active := ft.AggregationPolicy(0).Clone()
+		active.SetLink(lid, false)
+		return active
+	}
+	_, err = Run(s)
 	if !errors.Is(err, ErrInfeasible) || !strings.Contains(err.Error(), "no active ECMP path") {
 		t.Fatalf("err = %v, want ErrInfeasible for unrouted query messages", err)
 	}
 	// The intact policy routes every pair.
-	if _, _, err := measureNetwork(ft.AggregationPolicy(0), ft, 0.1, cfg, true, 1); err != nil {
+	s.Active = aggregationPolicy(0)
+	if _, err := Run(s); err != nil {
 		t.Fatalf("intact fabric: %v", err)
 	}
 }

@@ -3,6 +3,8 @@ package experiments
 import (
 	"reflect"
 	"testing"
+
+	"eprons/internal/workload"
 )
 
 // checkCellConservation asserts the query-accounting identity the overload
@@ -31,12 +33,11 @@ func TestOverloadSweepAcceptance(t *testing.T) {
 	if testing.Short() {
 		t.Skip("multi-second overload simulation")
 	}
-	cfg := OverloadConfig{
-		SurgeResponse: true,
-		Audit:         true,
-		Workers:       2,
+	cfg := Scenario{
+		Admission: &Admission{SurgeResponse: true},
+		Audit:     true,
 	}
-	rows, err := OverloadSweep([]float64{1, 3}, cfg)
+	rows, err := OverloadSweep([]float64{1, 3}, workload.SurgeStep, cfg, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -107,14 +108,12 @@ func TestOverloadSweepWorkerInvariance(t *testing.T) {
 		t.Skip("multi-second overload simulation")
 	}
 	mults := []float64{0.5, 1.5, 3}
-	cfg := OverloadConfig{DurationS: 1, SurgeResponse: true}
-	cfg.Workers = 1
-	seq, err := OverloadSweep(mults, cfg)
+	cfg := Scenario{DurationS: 1, Admission: &Admission{SurgeResponse: true}}
+	seq, err := OverloadSweep(mults, workload.SurgeStep, cfg, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	cfg.Workers = 4
-	par, err := OverloadSweep(mults, cfg)
+	par, err := OverloadSweep(mults, workload.SurgeStep, cfg, 4)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -124,7 +123,7 @@ func TestOverloadSweepWorkerInvariance(t *testing.T) {
 }
 
 func TestOverloadSweepRejectsBadMultiplier(t *testing.T) {
-	if _, err := OverloadSweep([]float64{-1}, OverloadConfig{DurationS: 0.1}); err == nil {
+	if _, err := OverloadSweep([]float64{-1}, workload.SurgeStep, Scenario{DurationS: 0.1}, 0); err == nil {
 		t.Fatal("negative multiplier accepted")
 	}
 }
@@ -138,16 +137,15 @@ func TestOverloadFaultsCombinedStress(t *testing.T) {
 	if testing.Short() {
 		t.Skip("multi-second fault+overload simulation")
 	}
-	cfg := AvailabilityConfig{
-		DurationS:      3,
-		QueryRate:      300,
-		SurgeMagnitude: 2.5,
-		Admission:      true,
-		Audit:          true,
-		Workers:        1,
+	cfg := Scenario{
+		DurationS: 3,
+		QueryRate: 300,
+		Surge:     workload.SurgeTrain{Surges: []workload.Surge{{StartS: 0.75, DurationS: 1.5, Magnitude: 2.5}}},
+		Admission: &Admission{},
+		Audit:     true,
 	}
 	rates := []float64{0, 1}
-	rows, err := AvailabilitySweep(rates, cfg)
+	rows, err := AvailabilitySweep(rates, cfg, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -164,8 +162,7 @@ func TestOverloadFaultsCombinedStress(t *testing.T) {
 	if rows[0].Shed == 0 {
 		t.Fatal("2.5x surge over a 300 q/s base shed nothing")
 	}
-	cfg.Workers = 2
-	par, err := AvailabilitySweep(rates, cfg)
+	par, err := AvailabilitySweep(rates, cfg, 2)
 	if err != nil {
 		t.Fatal(err)
 	}

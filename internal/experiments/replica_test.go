@@ -16,11 +16,11 @@ import (
 //   - the planner audit (replica guard + reachability check, run by
 //     Audit: true) shows zero stranded partitions.
 func TestReplicaSweepAcceptance(t *testing.T) {
-	cfg := ReplicaConfig{DurationS: 5, Audit: true, Seed: 3}
+	cfg := Scenario{DurationS: 5, Audit: true, Seed: 3}
 
 	// Fault axis: R=1 vs R=3 under the same schedule shape.
 	rows, err := ReplicaSweep([]int{1, 3}, []cluster.SelectionPolicy{cluster.SelPrimary},
-		[]float64{2}, cfg)
+		[]float64{2}, cfg, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -51,7 +51,7 @@ func TestReplicaSweepAcceptance(t *testing.T) {
 
 	// Hedging axis: fault-free tail comparison at R=3.
 	rows, err = ReplicaSweep([]int{3},
-		[]cluster.SelectionPolicy{cluster.SelPrimary, cluster.SelHedged}, []float64{0}, cfg)
+		[]cluster.SelectionPolicy{cluster.SelPrimary, cluster.SelHedged}, []float64{0}, cfg, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -83,7 +83,7 @@ func TestReplicaSweepWorkerInvariance(t *testing.T) {
 	run := func(workers int) []ReplicaRow {
 		rows, err := ReplicaSweep([]int{1, 3},
 			[]cluster.SelectionPolicy{cluster.SelPrimary, cluster.SelHedged},
-			[]float64{0, 1}, ReplicaConfig{DurationS: 1, Audit: true, Workers: workers})
+			[]float64{0, 1}, Scenario{DurationS: 1, Audit: true}, workers)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -100,12 +100,12 @@ func TestReplicaSweepWorkerInvariance(t *testing.T) {
 // "default on".
 func TestDisabledSentinelExpressible(t *testing.T) {
 	rows, err := ReplicaSweep([]int{1}, []cluster.SelectionPolicy{cluster.SelPrimary},
-		[]float64{2}, ReplicaConfig{
+		[]float64{2}, Scenario{
 			DurationS:       2,
 			SubQueryTimeout: Disabled,
 			RetryBudget:     Disabled,
 			Audit:           true,
-		})
+		}, 0)
 	if err != nil {
 		t.Fatal(err)
 	}

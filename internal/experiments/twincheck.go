@@ -37,8 +37,9 @@ type TwinCheckConfig struct {
 	// purpose, to exercise clamp reporting).
 	Levels  []int
 	BgUtils []float64
-	// Net configures the packet simulations (duration, arity, seed).
-	Net NetLatencyConfig
+	// Net is the base scenario of the packet simulations (duration,
+	// arity, seed), filled as for Fig10AggregationLatency.
+	Net Scenario
 	// Quick shrinks the server training grid to the 4-core quick grid
 	// used by the fast experiment paths.
 	Quick bool
@@ -104,16 +105,7 @@ func (c *TwinCheckConfig) fill(levels int) {
 // data (the twin is supposed to have clamped there).
 func TwinCheck(cfg TwinCheckConfig) (*TwinCheckSummary, error) {
 	// Fixed-policy placement by mean demand, as in Fig 10.
-	if cfg.Net.QueryReserveBps == 0 {
-		cfg.Net.QueryReserveBps = 1
-	}
-	cfg.Net.fill()
-	ftCfg := fattree.DefaultConfig()
-	ftCfg.K = cfg.Net.K
-	ft, err := fattree.New(ftCfg)
-	if err != nil {
-		return nil, err
-	}
+	cfg.Net = netDefaults(cfg.Net, 1)
 	tm, err := twin.New(twin.Config{FabricK: cfg.Net.K})
 	if err != nil {
 		return nil, err
@@ -132,14 +124,17 @@ func TwinCheck(cfg TwinCheckConfig) (*TwinCheckSummary, error) {
 		row.Twin = est.NetTailS
 		row.Clamped = est.Clamped
 		row.TwinFeasible = !est.Clamped
-		st, _, derr := measureNetwork(ft.AggregationPolicy(level), ft, bg, cfg.Net, true, 1)
+		s := cfg.Net
+		s.BgUtil = bg
+		s.Active = aggregationPolicy(level)
+		r, derr := Run(s)
 		if derr != nil {
 			// An unplaceable cell is a result, not an error: the fabric
 			// genuinely cannot carry that load at that depth.
 			return row, nil
 		}
 		row.DESFeasible = true
-		row.DES = st.NetReqLat.Quantile(0.95)
+		row.DES = r.Stats.NetReqLat.Quantile(0.95)
 		if row.DES > 0 {
 			row.RelErr = math.Abs(row.Twin-row.DES) / row.DES
 		}

@@ -24,7 +24,7 @@ func TestTwinCheckBandsAndClamps(t *testing.T) {
 	sum, err := TwinCheck(TwinCheckConfig{
 		Levels:  []int{0, 3},
 		BgUtils: []float64{0.1, 0.2, 0.4},
-		Net:     NetLatencyConfig{DurationS: 1.5, Workers: 4},
+		Net:     Scenario{DurationS: 1.5},
 		Quick:   true,
 		Workers: 4,
 	})

@@ -41,8 +41,8 @@ func TestFluidUtilizationMatchesPacket(t *testing.T) {
 	bp.Stop()
 	bf.Stop()
 
-	up := netP.LinkUtilization(durS)
-	uf := netF.LinkUtilization(durS)
+	up := netP.LinkUtilizationInto(nil, durS)
+	uf := netF.LinkUtilizationInto(nil, durS)
 	if len(uf) != len(up) {
 		t.Fatalf("link sets differ: packet %d fluid %d", len(up), len(uf))
 	}
@@ -56,8 +56,8 @@ func TestFluidUtilizationMatchesPacket(t *testing.T) {
 		}
 	}
 	// Per-flow rate view the controller polls must agree too.
-	rp := netP.FlowRates(durS)[1]
-	rf := netF.FlowRates(durS)[1]
+	rp := netP.FlowRatesInto(nil, durS)[1]
+	rf := netF.FlowRatesInto(nil, durS)[1]
 	if math.Abs(rf-rp) > 0.02*util*1e9 {
 		t.Errorf("flow rate: packet %.0f fluid %.0f", rp, rf)
 	}
@@ -118,8 +118,8 @@ func TestFluidDemotionExactAtKnee(t *testing.T) {
 		t.Errorf("byte counters differ: fluid %d/%d packet %d/%d",
 			netF.CarriedBytes, netF.OfferedBytes, netP.CarriedBytes, netP.OfferedBytes)
 	}
-	bpB := netP.LinkBytes()
-	bfB := netF.LinkBytes()
+	bpB := netP.LinkBytesInto(nil)
+	bfB := netF.LinkBytesInto(nil)
 	for lid, b := range bpB {
 		if bfB[lid] != b {
 			t.Errorf("link %d bytes differ: fluid %d packet %d", lid, bfB[lid], b)

@@ -710,16 +710,10 @@ func (n *Network) StartBackground(fid flow.ID, rate func() float64, stream *rng.
 	return b
 }
 
-// LinkBytes returns forwarded bytes per directed link since the last
-// ResetStats, keyed by link ID with both directions summed. It allocates a
-// fresh map; periodic pollers should use LinkBytesInto with a scratch map.
-func (n *Network) LinkBytes() map[topology.LinkID]int64 {
-	return n.LinkBytesInto(nil)
-}
-
-// LinkBytesInto is the reuse variant of LinkBytes: out is cleared and
-// refilled (a nil out allocates one). The controller's 2 s stats pull calls
-// this every epoch; with a retained scratch map the poll allocates nothing.
+// LinkBytesInto returns forwarded bytes per directed link since the last
+// ResetStats, keyed by link ID with both directions summed. out is cleared
+// and refilled (a nil out allocates one); with a retained scratch map a
+// periodic poller allocates nothing.
 func (n *Network) LinkBytesInto(out map[topology.LinkID]int64) map[topology.LinkID]int64 {
 	if out == nil {
 		out = make(map[topology.LinkID]int64)
@@ -735,16 +729,10 @@ func (n *Network) LinkBytesInto(out map[topology.LinkID]int64) map[topology.Link
 	return out
 }
 
-// LinkUtilization returns per-link utilization over the window seconds
+// LinkUtilizationInto returns per-link utilization over the window seconds
 // since the last ResetStats, using the busier direction (utilization is
-// per-direction in a full-duplex link). It allocates a fresh map; periodic
-// pollers should use LinkUtilizationInto with a scratch map.
-func (n *Network) LinkUtilization(window float64) map[topology.LinkID]float64 {
-	return n.LinkUtilizationInto(nil, window)
-}
-
-// LinkUtilizationInto is the reuse variant of LinkUtilization: out is
-// cleared and refilled (a nil out allocates one).
+// per-direction in a full-duplex link). out is cleared and refilled (a nil
+// out allocates one).
 func (n *Network) LinkUtilizationInto(out map[topology.LinkID]float64, window float64) map[topology.LinkID]float64 {
 	if out == nil {
 		out = make(map[topology.LinkID]float64)
@@ -769,15 +757,9 @@ func (n *Network) LinkUtilizationInto(out map[topology.LinkID]float64, window fl
 	return out
 }
 
-// FlowRates returns per-flow offered rates in bits per second over the
-// window seconds since the last ResetStats. It allocates a fresh map;
-// periodic pollers should use FlowRatesInto with a scratch map.
-func (n *Network) FlowRates(window float64) map[flow.ID]float64 {
-	return n.FlowRatesInto(nil, window)
-}
-
-// FlowRatesInto is the reuse variant of FlowRates: out is cleared and
-// refilled (a nil out allocates one).
+// FlowRatesInto returns per-flow offered rates in bits per second over the
+// window seconds since the last ResetStats. out is cleared and refilled (a
+// nil out allocates one).
 func (n *Network) FlowRatesInto(out map[flow.ID]float64, window float64) map[flow.ID]float64 {
 	if out == nil {
 		out = make(map[flow.ID]float64)

@@ -106,7 +106,7 @@ func TestInstallRoutesSingleReevaluate(t *testing.T) {
 		b1.Stop()
 		b2.Stop()
 		eng.RunAll()
-		return reevals, n.LinkBytes(), n.FlowRates(0.5)
+		return reevals, n.LinkBytesInto(nil), n.FlowRatesInto(nil, 0.5)
 	}
 	perFlowReevals, lbA, ratesA := run(false)
 	batchedReevals, lbB, ratesB := run(true)

@@ -8,16 +8,16 @@ import (
 )
 
 // TestStatsIntoVariants pins the reuse contract of the *Into stats pollers:
-// identical contents to the allocating variants, stale keys cleared on
+// identical contents to a fresh (nil-map) poll, stale keys cleared on
 // refill, and zero allocations once the scratch map exists.
 func TestStatsIntoVariants(t *testing.T) {
 	eng, n := benchChain(t, DefaultConfig())
 	n.SendMessage(1, 6000, nil, nil)
 	eng.RunAll()
 
-	wantLB := n.LinkBytes()
-	wantLU := n.LinkUtilization(2)
-	wantFR := n.FlowRates(2)
+	wantLB := n.LinkBytesInto(nil)
+	wantLU := n.LinkUtilizationInto(nil, 2)
+	wantFR := n.FlowRatesInto(nil, 2)
 	if len(wantLB) == 0 || len(wantLU) == 0 || len(wantFR) == 0 {
 		t.Fatal("expected non-empty stats after traffic")
 	}

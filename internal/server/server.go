@@ -152,6 +152,10 @@ type core struct {
 	hasComp bool
 	acc     *power.Accumulator
 
+	// completeFn is c.complete bound once: a method value passed to
+	// eng.After would allocate a fresh closure on every reschedule.
+	completeFn func()
+
 	// residency accumulates busy seconds per frequency.
 	residency map[float64]float64
 	resT      float64 // last residency accounting instant
@@ -196,7 +200,7 @@ func New(eng *sim.Engine, cfg Config) (*Server, error) {
 	}
 	s := &Server{Cfg: cfg}
 	for i := 0; i < cfg.Cores; i++ {
-		s.cores = append(s.cores, &core{
+		c := &core{
 			srv:       s,
 			eng:       eng,
 			id:        i,
@@ -206,7 +210,9 @@ func New(eng *sim.Engine, cfg Config) (*Server, error) {
 			acc:       power.NewAccumulator(eng.Now(), power.CoreIdleW),
 			residency: make(map[float64]float64),
 			resT:      eng.Now(),
-		})
+		}
+		c.completeFn = c.complete
+		s.cores = append(s.cores, c)
 	}
 	return s, nil
 }
@@ -428,7 +434,7 @@ func (c *core) scheduleCompletion() {
 		remainingBase = 0
 	}
 	wall := remainingBase * Stretch(c.srv.Cfg.Alpha, c.srv.Cfg.FMaxGHz, c.freq)
-	c.compEv = c.eng.After(wall, c.complete)
+	c.compEv = c.eng.After(wall, c.completeFn)
 	c.hasComp = true
 }
 

@@ -302,3 +302,25 @@ func TestFreqResidency(t *testing.T) {
 		t.Fatalf("residency total %g, want %g", total, wallBusy)
 	}
 }
+
+// Every DVFS decision on a busy core reschedules its completion event; a
+// warm reschedule must not allocate (the completion callback is bound
+// once per core, not per event).
+func TestRescheduleAllocsPinned(t *testing.T) {
+	eng := sim.New()
+	s := newServer(t, eng, 1, 0.9, func(int) Policy { return fixedPolicy{power.FMaxGHz} })
+	s.Enqueue(&Request{BaseServiceS: 1})
+	eng.Run(0.5)
+	c := s.cores[0]
+	if c.cur == nil {
+		t.Fatal("core idle; the test needs a request in service")
+	}
+	c.scheduleCompletion() // warm the engine's slot free list
+	if allocs := testing.AllocsPerRun(100, c.scheduleCompletion); allocs != 0 {
+		t.Fatalf("busy-core reschedule allocates %.1f/op, want 0", allocs)
+	}
+	eng.RunAll()
+	if s.Stats().Completed != 1 {
+		t.Fatalf("completed %d requests after the reschedules, want 1", s.Stats().Completed)
+	}
+}

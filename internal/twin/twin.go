@@ -50,7 +50,7 @@ type Config struct {
 	// scale-factor-K core keep-set (default 50 Mbps).
 	SafetyMarginBps float64
 	// QueryReserveBps is the per-host-pair burst reservation the K-mode
-	// sizing uses, matching experiments.NetLatencyConfig (default 10 Mbps).
+	// sizing uses, matching experiments.Fig11ScaleFactor (default 10 Mbps).
 	QueryReserveBps float64
 	// Net is the per-link latency model (default netmodel.DefaultAnalytic;
 	// set Net.Scale ≈ 25 for the paper's MiniNet-calibrated magnitudes).
@@ -289,7 +289,7 @@ func (m *Model) keepFromScaleK(scaleK, bg, queryRate float64) int {
 	hosts := float64(m.Hosts())
 	hostsPerPod := hosts / k
 	// Per-pair burst reservation: the measured mean demand or the floor,
-	// whichever is larger (experiments.measureNetwork's rule).
+	// whichever is larger (experiments.Run's rule).
 	perPair := queryRate / hosts * float64(1500+6000) * 8
 	if perPair < m.cfg.QueryReserveBps {
 		perPair = m.cfg.QueryReserveBps
